@@ -339,8 +339,8 @@ func (r *runner) fig9() error {
 	return nil
 }
 
-// ablations runs the DESIGN.md §4 ablation comparisons: claim-ordering
-// strategies and the question-planning design choices.
+// ablations runs the ablation comparisons: claim-ordering strategies and
+// the question-planning design choices.
 func (r *runner) ablations() error {
 	w, err := worldgen.Generate(r.worldCfg)
 	if err != nil {

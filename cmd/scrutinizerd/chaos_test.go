@@ -56,17 +56,19 @@ func smallDoc(w *scrutinizer.World, n int) *scrutinizer.Document {
 // TestChaosRateLimit429: a tenant over its token bucket gets 429 with a
 // Retry-After, before the request body is even read.
 func TestChaosRateLimit429(t *testing.T) {
-	_, _, ts := guardedServer(t, serverConfig{rateLimit: 1, rateBurst: 1}, nil)
+	_, w, ts := guardedServer(t, serverConfig{rateLimit: 1, rateBurst: 1}, nil)
+	// Training spends the corpus's token, not the verifier's.
+	runs := ts.URL + "/v1/verifiers/" + trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11).ID + "/runs"
 
 	// The burst admits one request (garbage body: admission happens before
 	// parsing, so a 400 proves the token was spent).
-	resp := do(t, http.MethodPost, ts.URL+"/verify", []byte("{"))
+	resp := do(t, http.MethodPost, runs, []byte("{"))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("first request status = %d, want 400", resp.StatusCode)
 	}
 	// The bucket is empty: the second request is rejected without parsing.
-	resp = do(t, http.MethodPost, ts.URL+"/verify", []byte("{"))
+	resp = do(t, http.MethodPost, runs, []byte("{"))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second request status = %d, want 429", resp.StatusCode)
@@ -85,14 +87,15 @@ func TestChaosRateLimit429(t *testing.T) {
 // admission. The slots are occupied directly through the gate so the test
 // is deterministic — no goroutine timing.
 func TestChaosGateSheds503(t *testing.T) {
-	s, _, ts := guardedServer(t, serverConfig{maxInflight: 2}, nil)
+	s, w, ts := guardedServer(t, serverConfig{maxInflight: 2}, nil)
+	runs := ts.URL + "/v1/verifiers/" + trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11).ID + "/runs"
 
 	leave1, ok1 := s.gate.Enter()
 	leave2, ok2 := s.gate.Enter()
 	if !ok1 || !ok2 {
 		t.Fatal("could not occupy the gate")
 	}
-	resp := do(t, http.MethodPost, ts.URL+"/verify", []byte("{"))
+	resp := do(t, http.MethodPost, runs, []byte("{"))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status at capacity = %d, want 503", resp.StatusCode)
@@ -120,7 +123,7 @@ func TestChaosGateSheds503(t *testing.T) {
 
 	leave1()
 	leave2()
-	resp = do(t, http.MethodPost, ts.URL+"/verify", []byte("{"))
+	resp = do(t, http.MethodPost, runs, []byte("{"))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status after slots freed = %d, want 400 (admitted, bad body)", resp.StatusCode)
@@ -134,8 +137,8 @@ func TestChaosQuotaPerTenantRuns(t *testing.T) {
 	_, w, ts := guardedServer(t, serverConfig{maxRunsPerTenant: 1}, nil)
 	doc := smallDoc(w, 6)
 
-	hostile := trainV1Verifier(t, ts, "default", w.Document, 11)
-	polite := trainV1Verifier(t, ts, "default", w.Document, 12)
+	hostile := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11)
+	polite := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 12)
 
 	// Park an interactive run on the hostile verifier: it holds the
 	// tenant's only slot until finished or deleted.
@@ -196,21 +199,12 @@ func TestChaosQuotaPerTenantRuns(t *testing.T) {
 // — other sessions keep serving.
 func TestChaosPanicTearsDownSessionOnly(t *testing.T) {
 	s, w, ts := guardedServer(t, serverConfig{}, scrutinizer.NewMemoryStore())
-	doc := smallDoc(w, 6)
-
-	createSession := func() sessionCreateResponse {
-		body, _ := json.Marshal(map[string]any{
-			"document": json.RawMessage(docJSON(t, doc)),
-			"batch":    5, "seed": int64(11), "checkers": 3,
-		})
-		resp := do(t, http.MethodPost, ts.URL+"/sessions", body)
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create session: status %d", resp.StatusCode)
-		}
-		var created sessionCreateResponse
-		decodeJSON(t, resp, &created)
-		return created
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11)
+	payload := map[string]any{
+		"document": json.RawMessage(docJSON(t, smallDoc(w, 6))),
+		"batch":    5, "seed": int64(11), "checkers": 3,
 	}
+	createSession := func() sessionRunResponse { return createSessionRun(t, ts.URL, info.ID, payload) }
 	victim := createSession()
 	bystander := createSession()
 
@@ -221,20 +215,20 @@ func TestChaosPanicTearsDownSessionOnly(t *testing.T) {
 		}
 	}
 	answer := []byte(`{"claim_id": 0, "value": "x", "seconds": 1}`)
-	resp := do(t, http.MethodPost, ts.URL+"/sessions/"+victim.ID+"/answers", answer)
+	resp := do(t, http.MethodPost, ts.URL+"/v1/runs/"+victim.ID+"/answers", answer)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicking answer: status = %d, want 500", resp.StatusCode)
 	}
 
 	// The poisoned session was torn down...
-	resp = do(t, http.MethodGet, ts.URL+"/sessions/"+victim.ID, nil)
+	resp = do(t, http.MethodGet, ts.URL+"/v1/runs/"+victim.ID, nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("victim session after panic: status = %d, want 404", resp.StatusCode)
 	}
 	// ...and the bystander — and the daemon — kept serving.
-	resp = do(t, http.MethodGet, ts.URL+"/sessions/"+bystander.ID+"/questions", nil)
+	resp = do(t, http.MethodGet, ts.URL+"/v1/runs/"+bystander.ID+"/questions", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bystander session after panic: status = %d, want 200", resp.StatusCode)
@@ -266,7 +260,7 @@ func TestChaosReadyzDuringReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.routes())
-	vinfo := trainV1Verifier(t, ts1, "default", w.Document, 11)
+	vinfo := trainV1Verifier(t, ts1, defaultCorpusID, w.Document, 11)
 	startSessionRun(t, ts1.URL, vinfo.ID, smallDoc(w, 6))
 	ts1.Close()
 
@@ -303,7 +297,7 @@ func TestChaosReadyzDuringReplay(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz during replay: status = %d, want 200 (liveness is not readiness)", resp.StatusCode)
 	}
-	resp = do(t, http.MethodPost, ts2.URL+"/verify", []byte("{"))
+	resp = do(t, http.MethodPost, ts2.URL+"/v1/verifiers/"+vinfo.ID+"/runs", []byte("{"))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("API during replay: status = %d, want 503", resp.StatusCode)
@@ -328,8 +322,8 @@ func TestChaosHostileTenantFairness(t *testing.T) {
 	_, w, ts := guardedServer(t, serverConfig{rateLimit: 20, rateBurst: 3}, nil)
 	doc := smallDoc(w, 4)
 
-	hostile := trainV1Verifier(t, ts, "default", w.Document, 11)
-	polite := trainV1Verifier(t, ts, "default", w.Document, 12)
+	hostile := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11)
+	polite := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 12)
 
 	runBody, _ := json.Marshal(map[string]any{
 		"document": json.RawMessage(docJSON(t, doc)),
@@ -395,12 +389,10 @@ func TestChaosHostileTenantFairness(t *testing.T) {
 // maps the expiry to 504, not 500.
 func TestCancelRequestTimeout504(t *testing.T) {
 	_, w, ts := guardedServer(t, serverConfig{requestTimeout: time.Microsecond}, nil)
-	var payload strings.Builder
-	payload.WriteString(`{"batch": 10, "seed": 11, "document": `)
-	bodyDoc := docJSON(t, w.Document)
-	payload.Write(bodyDoc)
-	payload.WriteString(`}`)
-	resp := do(t, http.MethodPost, ts.URL+"/verify", []byte(payload.String()))
+	// Training is not a verification request: the deadline spares it.
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11)
+	payload := fmt.Sprintf(`{"batch": 10, "seed": 11, "document": %s}`, docJSON(t, w.Document))
+	resp := do(t, http.MethodPost, ts.URL+"/v1/verifiers/"+info.ID+"/runs", []byte(payload))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		body, _ := io.ReadAll(resp.Body)
@@ -414,6 +406,7 @@ func TestCancelRequestTimeout504(t *testing.T) {
 // CPU for a caller that left.
 func TestCancelClientDisconnectStopsRun(t *testing.T) {
 	_, w, ts := guardedServer(t, serverConfig{}, nil)
+	runs := ts.URL + "/v1/verifiers/" + trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11).ID + "/runs"
 	payload := fmt.Sprintf(`{"batch": 5, "seed": 11, "team": 3, "document": %s}`, docJSON(t, w.Document))
 
 	// Let the HTTP server finish its keep-alive bookkeeping from setup.
@@ -422,7 +415,7 @@ func TestCancelClientDisconnectStopsRun(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/verify", strings.NewReader(payload))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, runs, strings.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,8 @@
 package main
 
 // Tenant protection under overload. Every expensive route (verification
-// runs, verifier training, session creation, answer posts) passes three
-// O(1) admission checks before any engine or store work starts, cheapest
-// first:
+// runs, verifier training, answer posts) passes three O(1) admission
+// checks before any engine or store work starts, cheapest first:
 //
 //  1. s.admit — the global in-flight gate. Over -max-inflight the request
 //     is shed with 503 + Retry-After; nothing ever queues, so overload
@@ -17,8 +16,7 @@ package main
 //     interactive runs are counted via the session registry's owner tags.
 //
 // Tenant keys follow the resource being charged: the verifier ID for runs
-// and answers, the corpus ID for verifier training, and the default corpus
-// for the legacy single-tenant routes.
+// and answers, the corpus ID for verifier training.
 //
 // The route tree is wrapped in two middlewares: withRecover converts
 // handler panics into logged 500s (a panicking request must not kill the

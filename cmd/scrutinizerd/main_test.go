@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -28,85 +27,88 @@ func testServer(t *testing.T) (*server, *scrutinizer.World) {
 	return s, w
 }
 
+// healthz fetches and decodes the liveness body.
+func healthz(t *testing.T, ts *httptest.Server, v any) {
+	t.Helper()
+	resp := do(t, http.MethodGet, ts.URL+"/healthz", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz status = %d", resp.StatusCode)
+	}
+	decodeJSON(t, resp, v)
+}
+
+// corpusHealth is one service.per_corpus entry of /healthz.
+type corpusHealth struct {
+	Relations  int                         `json:"relations"`
+	Rows       int                         `json:"rows"`
+	Cells      int                         `json:"cells"`
+	QueryCache scrutinizer.QueryCacheStats `json:"query_cache"`
+}
+
+// defaultCorpusHealth reads the startup corpus's /healthz entry.
+func defaultCorpusHealth(t *testing.T, ts *httptest.Server) corpusHealth {
+	t.Helper()
+	var body struct {
+		Service struct {
+			PerCorpus map[string]corpusHealth `json:"per_corpus"`
+		} `json:"service"`
+	}
+	healthz(t, ts, &body)
+	ch, ok := body.Service.PerCorpus[defaultCorpusID]
+	if !ok {
+		t.Fatalf("per_corpus has no %q: %+v", defaultCorpusID, body.Service.PerCorpus)
+	}
+	return ch
+}
+
 func TestHealthz(t *testing.T) {
-	s, _ := testServer(t)
+	s, w := testServer(t)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	var body map[string]json.RawMessage
+	healthz(t, ts, &body)
+	if string(body["status"]) != `"ok"` {
+		t.Errorf("healthz status = %s", body["status"])
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
+	// Corpus statistics live per corpus; nothing describes one corpus at
+	// the top level.
+	for _, gone := range []string{"corpus", "query_cache", "interner"} {
+		if _, ok := body[gone]; ok {
+			t.Errorf("healthz still carries a top-level %q section", gone)
+		}
 	}
-	var body struct {
-		Status     string             `json:"status"`
-		Corpus     map[string]int     `json:"corpus"`
-		QueryCache map[string]float64 `json:"query_cache"`
-		Interner   map[string]int     `json:"interner"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Status != "ok" || body.Corpus["relations"] == 0 {
-		t.Errorf("healthz body = %+v", body)
-	}
-	if _, ok := body.QueryCache["entries"]; !ok {
-		t.Errorf("healthz missing query_cache stats: %+v", body.QueryCache)
-	}
-	if body.Interner["relations"] != body.Corpus["relations"] || body.Interner["cells"] == 0 {
-		t.Errorf("healthz interner stats = %+v", body.Interner)
+	ch := defaultCorpusHealth(t, ts)
+	if ch.Relations != len(w.Corpus.Names()) || ch.Rows == 0 || ch.Cells == 0 {
+		t.Errorf("default corpus health = %+v", ch)
 	}
 }
 
-// TestHealthzQueryCacheWarmsAcrossVerifies: the daemon shares one query
-// cache across requests over its corpus, so repeated verifications of the
-// same document must surface cache hits on /healthz.
+// TestHealthzQueryCacheWarmsAcrossVerifies: every run over a corpus shares
+// its query cache, so repeated runs of the same document must surface
+// cache hits on the corpus's /healthz entry.
 func TestHealthzQueryCacheWarmsAcrossVerifies(t *testing.T) {
 	s, w := testServer(t)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	var buf bytes.Buffer
-	if err := w.Document.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11)
 	// A small batch forces mid-run retraining, so later batches carry
-	// trained formula candidates into Algorithm 2 (a single cold-start
-	// batch generates no queries at all).
-	payload, err := json.Marshal(map[string]any{
-		"document": json.RawMessage(buf.Bytes()),
+	// retrained formula candidates into Algorithm 2.
+	payload := map[string]any{
+		"document": json.RawMessage(docJSON(t, w.Document)),
 		"batch":    5,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if resp, _ := postVerify(t, ts, payload); resp.StatusCode != http.StatusOK {
-			t.Fatalf("verify %d: status %d", i, resp.StatusCode)
+	var hits [2]uint64
+	for i := range hits {
+		if resp, _ := postV1Run(t, ts, info.ID, payload); resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d: status %d", i, resp.StatusCode)
 		}
+		hits[i] = defaultCorpusHealth(t, ts).QueryCache.Hits
 	}
-	if stats := s.qcache.Stats(); stats.Hits == 0 {
-		t.Errorf("second verify produced no query-cache hits: %+v", stats)
+	if hits[1] <= hits[0] {
+		t.Errorf("second run produced no query-cache hits: %d then %d", hits[0], hits[1])
 	}
-}
-
-func postVerify(t *testing.T, ts *httptest.Server, payload []byte) (*http.Response, verifyResponse) {
-	t.Helper()
-	resp, err := http.Post(ts.URL+"/verify", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out verifyResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp, out
 }
 
 func TestVerifyEnvelope(t *testing.T) {
@@ -114,21 +116,14 @@ func TestVerifyEnvelope(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := json.Marshal(map[string]any{
-		"document":    json.RawMessage(doc.Bytes()),
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11)
+	resp, out := postV1Run(t, ts, info.ID, map[string]any{
+		"document":    json.RawMessage(docJSON(t, w.Document)),
 		"team":        3,
 		"batch":       10,
 		"parallelism": 4,
 		"seed":        11,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, out := postVerify(t, ts, payload)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -151,17 +146,15 @@ func TestVerifyBareDocumentAndDeterminism(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
-	}
-	resp1, out1 := postVerify(t, ts, doc.Bytes())
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11)
+	doc := docJSON(t, w.Document)
+	resp1, out1 := postV1RunRaw(t, ts, info.ID, doc)
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("bare document rejected: %d", resp1.StatusCode)
 	}
 	// Same request twice: identical crowd time and verdicts (the service
 	// inherits the engine's determinism, whatever the fan-out).
-	resp2, out2 := postVerify(t, ts, doc.Bytes())
+	resp2, out2 := postV1RunRaw(t, ts, info.ID, doc)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("second request: %d", resp2.StatusCode)
 	}
@@ -175,19 +168,19 @@ func TestVerifyRejectsBadInput(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 3)
 	for _, tc := range []struct {
 		name    string
-		payload string
+		payload []byte
 		want    int
 	}{
-		{"malformed", "{not json", http.StatusBadRequest},
-		// {} parses as an empty document, which fails at System
-		// construction: no claims to verify.
-		{"empty object", "{}", http.StatusUnprocessableEntity},
-		{"bad ordering", `{"document": {"title": "t", "sections": 1, "claims": []}, "ordering": "alphabetical"}`, http.StatusBadRequest},
+		{"malformed", []byte("{not json"), http.StatusBadRequest},
+		// {} parses as an empty document: no claims to verify.
+		{"empty object", []byte("{}"), http.StatusUnprocessableEntity},
+		{"bad ordering", mustJSON(t, map[string]any{
+			"document": json.RawMessage(docJSON(t, w.Document)), "ordering": "alphabetical"}), http.StatusBadRequest},
 	} {
-		resp, _ := postVerify(t, ts, []byte(tc.payload))
-		if resp.StatusCode != tc.want {
+		if resp, _ := postV1RunRaw(t, ts, info.ID, tc.payload); resp.StatusCode != tc.want {
 			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
 	}
@@ -201,23 +194,15 @@ func TestVerifyRejectsBadInput(t *testing.T) {
 		cc.Truth = nil
 		stripped.Claims = append(stripped.Claims, &cc)
 	}
-	var doc bytes.Buffer
-	if err := stripped.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
-	}
-	resp, _ := postVerify(t, ts, doc.Bytes())
-	if resp.StatusCode != http.StatusUnprocessableEntity {
+	if resp, _ := postV1RunRaw(t, ts, info.ID, docJSON(t, &stripped)); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("unannotated document: status = %d, want 422", resp.StatusCode)
 	}
 
 	// Wrong method.
-	getResp, err := http.Get(ts.URL + "/verify")
-	if err != nil {
-		t.Fatal(err)
-	}
-	getResp.Body.Close()
-	if getResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /verify: status = %d", getResp.StatusCode)
+	resp := do(t, http.MethodGet, ts.URL+"/v1/verifiers/"+info.ID+"/runs", nil)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET runs: status = %d", resp.StatusCode)
 	}
 }
 

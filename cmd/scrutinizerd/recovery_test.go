@@ -66,18 +66,10 @@ func createVerifier(t *testing.T, baseURL string, w *scrutinizer.World) string {
 // startSessionRun parks a mode=session run and returns its ID.
 func startSessionRun(t *testing.T, baseURL, verifierID string, doc *scrutinizer.Document) string {
 	t.Helper()
-	body, _ := json.Marshal(map[string]any{
+	return createSessionRun(t, baseURL, verifierID, map[string]any{
 		"document": json.RawMessage(docJSON(t, doc)),
-		"mode":     "session",
 		"batch":    5,
-	})
-	resp := do(t, "POST", baseURL+"/v1/verifiers/"+verifierID+"/runs", body)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("start session run: status %d", resp.StatusCode)
-	}
-	var run sessionRunResponse
-	decodeJSON(t, resp, &run)
-	return run.ID
+	}).ID
 }
 
 // pendingQuestions fetches the run's question queue.
@@ -322,5 +314,66 @@ func TestRecoveryVerifierDeletePersisted(t *testing.T) {
 	s2, _ := storedServer(t, w, mem)
 	if s2.recovered.Verifiers != 0 {
 		t.Fatalf("deleted verifier resurrected: %+v", s2.recovered)
+	}
+}
+
+// TestRecoveryDefaultCorpusIsOrdinary: the daemon serves one route set, and
+// the startup corpus is an ordinary /v1 corpus — mutable, deletable and,
+// across durable restarts, re-registered from the startup corpus only when
+// the journal no longer holds it.
+func TestRecoveryDefaultCorpusIsOrdinary(t *testing.T) {
+	st := scrutinizer.NewMemoryStore()
+	// Every boot loads a fresh copy of the startup corpus, as a restarted
+	// process would; the registered default corpus is mutated in place.
+	boot := func() *httptest.Server {
+		_, ts := storedServer(t, recoveryTestWorld(t), st)
+		return ts
+	}
+	relations := func(ts *httptest.Server) int {
+		t.Helper()
+		resp := do(t, http.MethodGet, ts.URL+"/v1/corpora/"+defaultCorpusID, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET default corpus: status %d", resp.StatusCode)
+		}
+		var info scrutinizer.CorpusInfo
+		decodeJSON(t, resp, &info)
+		return info.Relations
+	}
+	status := func(method, url string, body []byte) int {
+		t.Helper()
+		resp := do(t, method, url, body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	w := recoveryTestWorld(t)
+	loaded := len(w.Corpus.Names())
+	ts := boot()
+	for _, path := range []string{"/verify", "/sessions"} {
+		if got := status(http.MethodPost, ts.URL+path, docJSON(t, w.Document)); got != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, got)
+		}
+	}
+	csv := relationCSV(t, w.Corpus, w.Corpus.Names()[0])
+	if got := status(http.MethodPut, ts.URL+"/v1/corpora/default/relations/extra", csv); got != http.StatusCreated {
+		t.Fatalf("PUT relation on default: status %d, want 201", got)
+	}
+	ts.Close()
+
+	// The journal holds the mutated default corpus: it wins over the
+	// freshly loaded one.
+	ts = boot()
+	if got := relations(ts); got != loaded+1 {
+		t.Fatalf("default corpus after restart: %d relations, want the journaled %d", got, loaded+1)
+	}
+	if got := status(http.MethodDelete, ts.URL+"/v1/corpora/default", nil); got != http.StatusOK {
+		t.Fatalf("DELETE default corpus: status %d, want 200", got)
+	}
+	ts.Close()
+
+	// Deleted from the journal: the next boot registers the loaded corpus.
+	ts = boot()
+	if got := relations(ts); got != loaded {
+		t.Fatalf("default corpus after delete + restart: %d relations, want the loaded %d", got, loaded)
 	}
 }

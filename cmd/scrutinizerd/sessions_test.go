@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -109,92 +110,114 @@ func (sc *sessionCrowd) answer(q scrutinizer.SessionQuestion) scrutinizer.Sessio
 	return scrutinizer.SessionAnswer{QuestionID: q.ID, ClaimID: q.ClaimID, Value: value, Seconds: secs}
 }
 
-// TestSessionLifecycleMatchesVerify is the acceptance pin at the HTTP
-// layer: a simulated crowd driving a document through the session API
-// (create → poll questions → post answers → report) produces verdicts,
-// crowd seconds and accuracy bit-identical to POST /verify with the same
-// seed and team.
-func TestSessionLifecycleMatchesVerify(t *testing.T) {
-	s, w := testServer(t)
-	ts := httptest.NewServer(s.routes())
-	defer ts.Close()
-
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
+// createSessionRun parks a mode=session run with the given envelope
+// fields and returns its handle.
+func createSessionRun(t *testing.T, baseURL, verifierID string, payload map[string]any) sessionRunResponse {
+	t.Helper()
+	body := map[string]any{"mode": "session"}
+	for k, v := range payload {
+		body[k] = v
 	}
-	envelope := func(extra string) []byte {
-		return []byte(`{"document": ` + doc.String() + `, "batch": 10, "seed": 11, "section_read_cost": 15, ` + extra + `}`)
-	}
-
-	// Reference: the synchronous simulated-crowd endpoint.
-	refResp, ref := postVerify(t, ts, envelope(`"team": 3`))
-	if refResp.StatusCode != http.StatusOK {
-		t.Fatalf("verify status = %d", refResp.StatusCode)
-	}
-
-	// Interactive: create a session with three section-skimming checkers
-	// (the team-size analog for the §5.1 cost accounting).
-	resp := do(t, http.MethodPost, ts.URL+"/sessions", envelope(`"checkers": 3`))
+	resp := do(t, http.MethodPost, baseURL+"/v1/verifiers/"+verifierID+"/runs", mustJSON(t, body))
 	if resp.StatusCode != http.StatusCreated {
 		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("create status = %d: %s", resp.StatusCode, b)
+		resp.Body.Close()
+		t.Fatalf("start session run: status %d: %s", resp.StatusCode, b)
 	}
-	var created sessionCreateResponse
-	decodeJSON(t, resp, &created)
-	if created.ID == "" || created.Claims != len(w.Document.Claims) || len(created.Questions) == 0 {
-		t.Fatalf("create response = %+v", created)
-	}
+	var run sessionRunResponse
+	decodeJSON(t, resp, &run)
+	return run
+}
 
-	sc := newSessionCrowd(t, w.Corpus, w.Document, 11, 3)
-	questions := created.Questions
-	for len(questions) > 0 {
-		var answers []scrutinizer.SessionAnswer
+// pumpRun answers an interactive run with the simulated crowd until it is
+// done. The next batch's questions are fetched by polling, as a real
+// client would.
+func pumpRun(t *testing.T, baseURL string, sc *sessionCrowd, run sessionRunResponse) {
+	t.Helper()
+	questions := run.Questions
+	for rounds := 0; len(questions) > 0; rounds++ {
+		if rounds > 10000 {
+			t.Fatal("run did not converge")
+		}
+		answers := make([]scrutinizer.SessionAnswer, 0, len(questions))
 		for _, q := range questions {
 			answers = append(answers, sc.answer(q))
 		}
-		payload, err := json.Marshal(map[string]any{"answers": answers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		aResp := do(t, http.MethodPost, ts.URL+"/sessions/"+created.ID+"/answers", payload)
-		if aResp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(aResp.Body)
-			t.Fatalf("answers status = %d: %s", aResp.StatusCode, b)
+		resp := do(t, http.MethodPost, baseURL+"/v1/runs/"+run.ID+"/answers", mustJSON(t, map[string]any{"answers": answers}))
+		if resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("answers status = %d: %s", resp.StatusCode, b)
 		}
 		var ar answersResponse
-		decodeJSON(t, aResp, &ar)
+		decodeJSON(t, resp, &ar)
 		if ar.Accepted != len(answers) {
 			t.Fatalf("accepted %d of %d answers", ar.Accepted, len(answers))
 		}
 		questions = ar.Questions
 		if len(questions) == 0 && !ar.Progress.Done {
-			// Batch boundary: the next batch's questions are fetched by
-			// polling, as a real client would.
-			qResp := do(t, http.MethodGet, ts.URL+"/sessions/"+created.ID+"/questions", nil)
-			var qs struct {
-				Questions []scrutinizer.SessionQuestion `json:"questions"`
-				Done      bool                          `json:"done"`
-			}
-			decodeJSON(t, qResp, &qs)
-			questions = qs.Questions
-			if len(questions) == 0 && !qs.Done {
-				t.Fatal("session not done but no questions queued")
+			var done bool
+			questions, done = pendingQuestions(t, baseURL, run.ID)
+			if len(questions) == 0 && !done {
+				t.Fatal("run not done but no questions queued")
 			}
 		}
 	}
+}
+
+// sameOutcome compares two report outcomes field by field.
+func sameOutcome(a, b verifyOutcome) bool {
+	if (a.Suggestion == nil) != (b.Suggestion == nil) ||
+		(a.Suggestion != nil && *a.Suggestion != *b.Suggestion) {
+		return false
+	}
+	a.Suggestion, b.Suggestion = nil, nil
+	return a == b
+}
+
+// TestSessionLifecycleMatchesVerify is the acceptance pin at the HTTP
+// layer: a simulated crowd driving a document through an interactive run
+// (create → poll questions → post answers → progress → report → delete)
+// produces verdicts, crowd seconds and accuracy bit-identical to a batch
+// run of the same verifier with the same team and section-read cost.
+func TestSessionLifecycleMatchesVerify(t *testing.T) {
+	s, w := testServer(t)
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	const seed = 11
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, seed)
+	envelope := func(knob string, n int) map[string]any {
+		return map[string]any{
+			"document": json.RawMessage(docJSON(t, w.Document)),
+			"batch":    10, "section_read_cost": 15, knob: n,
+		}
+	}
+
+	// Reference: the synchronous simulated-crowd batch run.
+	refResp, ref := postV1Run(t, ts, info.ID, envelope("team", 3))
+	if refResp.StatusCode != http.StatusOK {
+		t.Fatalf("batch run status = %d", refResp.StatusCode)
+	}
+
+	// Interactive: three section-skimming checkers (the team-size analog
+	// for the §5.1 cost accounting).
+	created := createSessionRun(t, ts.URL, info.ID, envelope("checkers", 3))
+	if created.ID == "" || created.Claims != len(w.Document.Claims) || len(created.Questions) == 0 {
+		t.Fatalf("create response = %+v", created)
+	}
+	pumpRun(t, ts.URL, newSessionCrowd(t, w.Corpus, w.Document, seed, 3), created)
+	run := ts.URL + "/v1/runs/" + created.ID
 
 	// Progress reflects completion and the retrain generations.
-	pResp := do(t, http.MethodGet, ts.URL+"/sessions/"+created.ID, nil)
 	var prog scrutinizer.SessionProgress
-	decodeJSON(t, pResp, &prog)
+	decodeJSON(t, do(t, http.MethodGet, run, nil), &prog)
 	if !prog.Done || prog.Verified != len(w.Document.Claims) || prog.ModelGeneration == 0 {
 		t.Fatalf("final progress = %+v", prog)
 	}
 
-	rResp := do(t, http.MethodGet, ts.URL+"/sessions/"+created.ID+"/report", nil)
 	var rep sessionReportResponse
-	decodeJSON(t, rResp, &rep)
+	decodeJSON(t, do(t, http.MethodGet, run+"/report", nil), &rep)
 	if !rep.Done {
 		t.Fatal("report not done")
 	}
@@ -209,151 +232,138 @@ func TestSessionLifecycleMatchesVerify(t *testing.T) {
 		t.Errorf("accuracy = %v, want %v", rep.Accuracy, ref.Accuracy)
 	}
 	if rep.Batches != ref.Batches || len(rep.Outcomes) != len(ref.Outcomes) {
-		t.Errorf("batches/outcomes = %d/%d, want %d/%d", rep.Batches, len(rep.Outcomes), ref.Batches, len(ref.Outcomes))
+		t.Fatalf("batches/outcomes = %d/%d, want %d/%d", rep.Batches, len(rep.Outcomes), ref.Batches, len(ref.Outcomes))
 	}
 	for i := range rep.Outcomes {
-		if rep.Outcomes[i] != ref.Outcomes[i] && (rep.Outcomes[i].Suggestion == nil) == (ref.Outcomes[i].Suggestion == nil) {
-			// Pointers differ; compare fields.
-			a, b := rep.Outcomes[i], ref.Outcomes[i]
-			if a.ClaimID != b.ClaimID || a.Verdict != b.Verdict || a.Seconds != b.Seconds || a.SQL != b.SQL || a.Value != b.Value {
-				t.Fatalf("outcome %d = %+v, want %+v", i, a, b)
-			}
+		if !sameOutcome(rep.Outcomes[i], ref.Outcomes[i]) {
+			t.Fatalf("outcome %d = %+v, want %+v", i, rep.Outcomes[i], ref.Outcomes[i])
 		}
 	}
 
-	// Delete ends the session.
-	dResp := do(t, http.MethodDelete, ts.URL+"/sessions/"+created.ID, nil)
+	// Delete ends the run.
+	dResp := do(t, http.MethodDelete, run, nil)
+	dResp.Body.Close()
 	if dResp.StatusCode != http.StatusOK {
 		t.Errorf("delete status = %d", dResp.StatusCode)
 	}
-	dResp.Body.Close()
-	if g := do(t, http.MethodGet, ts.URL+"/sessions/"+created.ID, nil); g.StatusCode != http.StatusNotFound {
-		t.Errorf("deleted session still reachable: %d", g.StatusCode)
+	g := do(t, http.MethodGet, run, nil)
+	g.Body.Close()
+	if g.StatusCode != http.StatusNotFound {
+		t.Errorf("deleted run still reachable: %d", g.StatusCode)
 	}
 }
 
-// TestSessionEndpointErrors covers the session error surface: malformed
-// bodies, unknown IDs, stale question IDs, wrong methods.
+// TestSessionEndpointErrors covers the interactive-run error surface:
+// malformed bodies, unknown IDs, stale question IDs, wrong methods.
 func TestSessionEndpointErrors(t *testing.T) {
 	s, w := testServer(t)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11)
+	runs := ts.URL + "/v1/verifiers/" + info.ID + "/runs"
+	status := func(method, url string, body []byte) int {
+		t.Helper()
+		resp := do(t, method, url, body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
 	// Malformed create bodies.
-	for _, payload := range []string{"{not json", `{"document": {"title": "t"}, "ordering": "alphabetical"}`} {
-		resp := do(t, http.MethodPost, ts.URL+"/sessions", []byte(payload))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("create %q: status = %d, want 400", payload, resp.StatusCode)
+	for _, payload := range [][]byte{
+		[]byte("{not json"),
+		mustJSON(t, map[string]any{"document": json.RawMessage(docJSON(t, w.Document)), "mode": "session", "ordering": "alphabetical"}),
+	} {
+		if got := status(http.MethodPost, runs, payload); got != http.StatusBadRequest {
+			t.Errorf("create %q: status = %d, want 400", payload[:min(len(payload), 40)], got)
 		}
 	}
-	// Empty document fails system construction.
-	resp := do(t, http.MethodPost, ts.URL+"/sessions", []byte(`{}`))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("empty create: status = %d, want 422", resp.StatusCode)
+	// An empty document has nothing to verify.
+	if got := status(http.MethodPost, runs, []byte(`{"document": {}, "mode": "session"}`)); got != http.StatusUnprocessableEntity {
+		t.Errorf("empty create: status = %d, want 422", got)
 	}
 
-	// Unknown session IDs.
-	for _, ep := range []string{"/sessions/nope", "/sessions/nope/questions", "/sessions/nope/report"} {
-		resp := do(t, http.MethodGet, ts.URL+ep, nil)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s: status = %d, want 404", ep, resp.StatusCode)
+	// Unknown run IDs.
+	for _, ep := range []string{"/v1/runs/nope", "/v1/runs/nope/questions", "/v1/runs/nope/report"} {
+		if got := status(http.MethodGet, ts.URL+ep, nil); got != http.StatusNotFound {
+			t.Errorf("GET %s: status = %d, want 404", ep, got)
 		}
 	}
-	resp = do(t, http.MethodPost, ts.URL+"/sessions/nope/answers", []byte(`{"claim_id":1,"value":"x"}`))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("answers for unknown session: status = %d, want 404", resp.StatusCode)
+	if got := status(http.MethodPost, ts.URL+"/v1/runs/nope/answers", []byte(`{"claim_id":1,"value":"x"}`)); got != http.StatusNotFound {
+		t.Errorf("answers for unknown run: status = %d, want 404", got)
 	}
 
-	// A live session rejects malformed and conflicting answers.
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
+	// A live run rejects malformed and conflicting answers.
+	created := createSessionRun(t, ts.URL, info.ID, map[string]any{"document": json.RawMessage(docJSON(t, w.Document))})
+	base := ts.URL + "/v1/runs/" + created.ID
+	if got := status(http.MethodPost, base+"/answers", []byte("{not json")); got != http.StatusBadRequest {
+		t.Errorf("malformed answers: status = %d, want 400", got)
 	}
-	cResp := do(t, http.MethodPost, ts.URL+"/sessions", doc.Bytes())
-	if cResp.StatusCode != http.StatusCreated {
-		t.Fatalf("create status = %d", cResp.StatusCode)
-	}
-	var created sessionCreateResponse
-	decodeJSON(t, cResp, &created)
-	base := ts.URL + "/sessions/" + created.ID
-
-	resp = do(t, http.MethodPost, base+"/answers", []byte("{not json"))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed answers: status = %d, want 400", resp.StatusCode)
-	}
-	resp = do(t, http.MethodPost, base+"/answers", []byte(`{}`))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty answers: status = %d, want 400", resp.StatusCode)
+	if got := status(http.MethodPost, base+"/answers", []byte(`{}`)); got != http.StatusBadRequest {
+		t.Errorf("empty answers: status = %d, want 400", got)
 	}
 	q := created.Questions[0]
-	stale, err := json.Marshal(scrutinizer.SessionAnswer{QuestionID: "c999999.7", ClaimID: q.ClaimID, Value: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp = do(t, http.MethodPost, base+"/answers", stale)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("stale question id: status = %d, want 409", resp.StatusCode)
+	stale := mustJSON(t, scrutinizer.SessionAnswer{QuestionID: "c999999.7", ClaimID: q.ClaimID, Value: "x"})
+	if got := status(http.MethodPost, base+"/answers", stale); got != http.StatusConflict {
+		t.Errorf("stale question id: status = %d, want 409", got)
 	}
 
 	// Wrong methods 405 via the method-pattern router.
-	resp = do(t, http.MethodPut, base, nil)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("PUT session: status = %d, want 405", resp.StatusCode)
+	if got := status(http.MethodPut, base, nil); got != http.StatusMethodNotAllowed {
+		t.Errorf("PUT run: status = %d, want 405", got)
 	}
-	resp = do(t, http.MethodGet, ts.URL+"/sessions", nil)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Errorf("GET /sessions unexpectedly served: %d", resp.StatusCode)
+	if got := status(http.MethodGet, ts.URL+"/v1/runs", nil); got == http.StatusOK {
+		t.Errorf("GET /v1/runs unexpectedly served: %d", got)
 	}
 }
 
-// TestBodyCap verifies the request-body cap returns 413 on /verify and
-// the session endpoints (the server's cap is lowered so the test does not
+// TestBodyCap verifies the request-body cap returns 413 on every route
+// that reads a body (the server's cap is lowered so the test does not
 // allocate 64 MB).
 func TestBodyCap(t *testing.T) {
-	s, _ := testServer(t)
+	s, w := testServer(t)
+	v, err := s.svc.CreateVerifier(defaultCorpusID, w.Document, scrutinizer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := v.StartSession(context.Background(), s.sessions, w.Document, scrutinizer.SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.svc.AddCorpus("empty", scrutinizer.NewCorpus()); err != nil {
+		t.Fatal(err)
+	}
 	s.maxBody = 1024
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
 	big := []byte(`{"document": {"title": "` + strings.Repeat("x", 4096) + `"}}`)
-	for _, ep := range []string{"/verify", "/sessions"} {
-		resp := do(t, http.MethodPost, ts.URL+ep, big)
+	for _, ep := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/verifiers/" + v.ID() + "/runs"},
+		{http.MethodPost, "/v1/runs/" + sess.ID() + "/answers"},
+		{http.MethodPost, "/v1/corpora"},
+		{http.MethodPut, "/v1/corpora/empty/relations/r"},
+		{http.MethodPost, "/v1/corpora/empty/verifiers"},
+	} {
+		resp := do(t, ep.method, ts.URL+ep.path, big)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("POST %s oversized: status = %d, want 413", ep, resp.StatusCode)
+			t.Errorf("%s %s oversized: status = %d, want 413", ep.method, ep.path, resp.StatusCode)
 		}
 	}
 }
 
 // TestHealthzReportsSessions extends the liveness probe: active session
 // count, queued questions and the engine model generation must be
-// reported alongside the corpus statistics.
+// reported.
 func TestHealthzReportsSessions(t *testing.T) {
 	s, w := testServer(t)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
-	}
-	cResp := do(t, http.MethodPost, ts.URL+"/sessions", doc.Bytes())
-	if cResp.StatusCode != http.StatusCreated {
-		t.Fatalf("create status = %d", cResp.StatusCode)
-	}
-	var created sessionCreateResponse
-	decodeJSON(t, cResp, &created)
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11)
+	created := createSessionRun(t, ts.URL, info.ID, map[string]any{"document": json.RawMessage(docJSON(t, w.Document))})
 
-	hResp := do(t, http.MethodGet, ts.URL+"/healthz", nil)
 	var health struct {
 		Status   string `json:"status"`
 		Sessions struct {
@@ -362,8 +372,8 @@ func TestHealthzReportsSessions(t *testing.T) {
 			ModelGeneration uint64 `json:"model_generation"`
 		} `json:"sessions"`
 	}
-	decodeJSON(t, hResp, &health)
-	if health.Status != "ok" || health.Sessions.Active != 1 {
+	healthz(t, ts, &health)
+	if health.Status != "ok" || health.Sessions.Active != 1 || health.Sessions.ModelGeneration == 0 {
 		t.Errorf("healthz = %+v", health)
 	}
 	if health.Sessions.QueuedQuestions != len(created.Questions) {

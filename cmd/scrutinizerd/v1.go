@@ -15,7 +15,7 @@ package main
 //     answers every question with the simulated crowd in-process and
 //     returns the report inline; mode "session" parks an interactive
 //     session and returns its handle — the run ID is a session ID served
-//     under /v1/runs/{id} (and, equivalently, the legacy /sessions/{id}).
+//     under /v1/runs/{id}.
 
 import (
 	"bytes"
@@ -96,10 +96,6 @@ func (s *server) handleCorpusGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleCorpusDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if id == defaultCorpusID {
-		httpError(w, http.StatusConflict, "the default corpus backs the legacy routes and cannot be deleted")
-		return
-	}
 	ok, err := s.svc.RemoveCorpus(id)
 	if err != nil {
 		httpError(w, journalStatus(err), err.Error())
@@ -125,36 +121,30 @@ func journalStatus(err error) int {
 	return http.StatusUnprocessableEntity
 }
 
-// mutableCorpus resolves a corpus for mutation, enforcing the freeze
-// rules: the default corpus is never mutable over HTTP (legacy traffic
-// reads it without coordination), and a corpus with verifiers is frozen
-// (their runs read it concurrently). Caller must hold the corpus's
+// mutableCorpus reports whether a corpus may be mutated, writing the 404
+// or 409 when not. It enforces the freeze rule: a corpus with verifiers is
+// frozen (their runs read it concurrently). Caller must hold the corpus's
 // lockCorpus mutex.
-func (s *server) mutableCorpus(w http.ResponseWriter, id string) (*scrutinizer.Corpus, bool) {
-	if id == defaultCorpusID {
-		httpError(w, http.StatusConflict, "the default corpus is read-only (legacy routes verify against it without coordination)")
-		return nil, false
-	}
-	corpus, ok := s.svc.Corpus(id)
-	if !ok {
+func (s *server) mutableCorpus(w http.ResponseWriter, id string) bool {
+	if _, ok := s.svc.Corpus(id); !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("no corpus %q", id))
-		return nil, false
+		return false
 	}
 	for _, vi := range s.svc.Verifiers() {
 		if vi.CorpusID == id {
 			httpError(w, http.StatusConflict, fmt.Sprintf(
 				"corpus %q is frozen: verifier %q is trained over it (delete the verifiers to mutate relations)", id, vi.ID))
-			return nil, false
+			return false
 		}
 	}
-	return corpus, true
+	return true
 }
 
 func (s *server) handleRelationPut(w http.ResponseWriter, r *http.Request) {
 	mu := s.lockCorpus(r.PathValue("id"))
 	mu.Lock()
 	defer mu.Unlock()
-	if _, ok := s.mutableCorpus(w, r.PathValue("id")); !ok {
+	if !s.mutableCorpus(w, r.PathValue("id")) {
 		return
 	}
 	name := r.PathValue("name")
@@ -190,7 +180,7 @@ func (s *server) handleRelationDelete(w http.ResponseWriter, r *http.Request) {
 	mu := s.lockCorpus(r.PathValue("id"))
 	mu.Lock()
 	defer mu.Unlock()
-	if _, ok := s.mutableCorpus(w, r.PathValue("id")); !ok {
+	if !s.mutableCorpus(w, r.PathValue("id")) {
 		return
 	}
 	name := r.PathValue("name")
@@ -312,15 +302,22 @@ func (s *server) handleVerifierDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
 
-// runRequest is the POST /v1/verifiers/{id}/runs body: the shared
-// document envelope plus the run mode. The envelope's seed field only
-// drives the "random" claim ordering — model and crowd seeding belong
-// to the verifier.
+// runRequest is the POST /v1/verifiers/{id}/runs envelope. Document is
+// raw so a bare document body can be detected and accepted too. Seed only
+// drives the "random" claim ordering — model and crowd seeding belong to
+// the verifier.
 type runRequest struct {
-	documentRequest
+	Document json.RawMessage `json:"document"`
 	// Mode is "batch" (default: simulated crowd, report inline) or
 	// "session" (interactive: park a question/answer session).
-	Mode string `json:"mode"`
+	Mode            string  `json:"mode"`
+	Team            int     `json:"team"`
+	Checkers        int     `json:"checkers"`
+	Batch           int     `json:"batch"`
+	Parallelism     int     `json:"parallelism"`
+	Ordering        string  `json:"ordering"`
+	Seed            int64   `json:"seed"`
+	SectionReadCost float64 `json:"section_read_cost"`
 }
 
 // coverageJSON shapes FeatureCoverage for responses.
@@ -329,7 +326,7 @@ type coverageJSON struct {
 	TFIDFRatio float64 `json:"tfidf_ratio"`
 }
 
-// batchRunResponse is the mode=batch report: the legacy verify payload
+// batchRunResponse is the mode=batch report: the verification report
 // plus run provenance (verifier, model generation, vocabulary coverage).
 type batchRunResponse struct {
 	verifyResponse
@@ -432,7 +429,13 @@ func (s *server) handleRunCreate(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		run, err := v.StartRun(ctx, doc)
 		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err.Error())
+			// The document was validated above: a refusal here is a request
+			// deadline that expired (or a client that left) before the start.
+			status := http.StatusUnprocessableEntity
+			if ctx.Err() != nil {
+				status = verifyErrStatus(ctx.Err())
+			}
+			httpError(w, status, err.Error())
 			return
 		}
 		crowd, err := v.NewTeam(team)
@@ -464,18 +467,7 @@ func (s *server) handleRunCreate(w http.ResponseWriter, r *http.Request) {
 			ModelGeneration: v.Generation(),
 			Coverage:        covJSON,
 		}
-		for _, o := range res.Outcomes {
-			vo := toVerifyOutcome(o)
-			switch o.Verdict {
-			case scrutinizer.VerdictCorrect:
-				resp.Correct++
-			case scrutinizer.VerdictIncorrect:
-				resp.Incorrect++
-			default:
-				resp.Skipped++
-			}
-			resp.Outcomes = append(resp.Outcomes, vo)
-		}
+		resp.Outcomes, resp.Correct, resp.Incorrect, resp.Skipped = tally(res.Outcomes)
 		writeJSON(w, http.StatusOK, resp)
 
 	case "session":

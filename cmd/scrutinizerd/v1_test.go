@@ -129,18 +129,6 @@ func TestV1CorpusLifecycle(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// The default corpus is protected.
-	for _, req := range [][2]string{
-		{"DELETE", "/v1/corpora/default"},
-		{"PUT", "/v1/corpora/default/relations/x"},
-	} {
-		if resp := do(t, req[0], ts.URL+req[1], csv); resp.StatusCode != http.StatusConflict {
-			t.Fatalf("%s %s: status %d, want 409", req[0], req[1], resp.StatusCode)
-		} else {
-			resp.Body.Close()
-		}
-	}
-
 	// Deleting the corpus cascades to its verifiers.
 	if resp := do(t, "DELETE", ts.URL+"/v1/corpora/iea", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete corpus: status %d", resp.StatusCode)
@@ -178,7 +166,7 @@ func TestV1VerifierLifecycle(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	info := trainV1Verifier(t, ts, "default", w.Document, 11)
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 11)
 	if info.ID == "" || info.CorpusID != "default" || info.TrainedOn == 0 || info.Generation == 0 {
 		t.Fatalf("verifier info = %+v", info)
 	}
@@ -214,14 +202,21 @@ func TestV1VerifierLifecycle(t *testing.T) {
 	}
 }
 
-// postV1Run posts a run and decodes the batch response.
+// postV1Run posts a run envelope and decodes the batch response.
 func postV1Run(t *testing.T, ts *httptest.Server, verifierID string, payload map[string]any) (*http.Response, batchRunResponse) {
 	t.Helper()
-	body, _ := json.Marshal(payload)
+	return postV1RunRaw(t, ts, verifierID, mustJSON(t, payload))
+}
+
+// postV1RunRaw posts a raw run body and decodes the batch response.
+func postV1RunRaw(t *testing.T, ts *httptest.Server, verifierID string, body []byte) (*http.Response, batchRunResponse) {
+	t.Helper()
 	resp := do(t, "POST", ts.URL+"/v1/verifiers/"+verifierID+"/runs", body)
 	var out batchRunResponse
 	if resp.StatusCode == http.StatusOK {
 		decodeJSON(t, resp, &out)
+	} else {
+		resp.Body.Close()
 	}
 	return resp, out
 }
@@ -237,7 +232,7 @@ func TestV1BatchRunMatchesSystem(t *testing.T) {
 	defer ts.Close()
 
 	const seed, batch = 11, 10
-	info := trainV1Verifier(t, ts, "default", w.Document, seed)
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, seed)
 
 	// Reference: the direct library path with the same training data.
 	sys, err := scrutinizer.New(w.Corpus, w.Document, scrutinizer.Options{Seed: seed})
@@ -342,7 +337,7 @@ func TestV1SessionRunMatchesBatch(t *testing.T) {
 	defer ts.Close()
 
 	const seed, batch = 11, 10
-	info := trainV1Verifier(t, ts, "default", w.Document, seed)
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, seed)
 
 	respBatch, batchOut := postV1Run(t, ts, info.ID, map[string]any{
 		"document": json.RawMessage(docJSON(t, w.Document)),
@@ -368,40 +363,12 @@ func TestV1SessionRunMatchesBatch(t *testing.T) {
 		t.Fatalf("session run = %+v", sessOut)
 	}
 
-	// Answer everything through the /v1/runs links with the simulated
-	// crowd (cost model and truth resolution identical to the batch path).
-	sc := newSessionCrowd(t, w.Corpus, w.Document, seed, 3)
-	questions := sessOut.Questions
-	for rounds := 0; len(questions) > 0; rounds++ {
-		if rounds > 10000 {
-			t.Fatal("session did not converge")
-		}
-		answers := make([]scrutinizer.SessionAnswer, 0, len(questions))
-		for _, q := range questions {
-			answers = append(answers, sc.answer(q))
-		}
-		body, _ := json.Marshal(map[string]any{"answers": answers})
-		resp := do(t, "POST", ts.URL+sessOut.Links["answers"], body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("answers: status %d", resp.StatusCode)
-		}
-		var ar answersResponse
-		decodeJSON(t, resp, &ar)
-		if len(ar.Questions) > 0 {
-			questions = ar.Questions
-			continue
-		}
-		resp = do(t, "GET", ts.URL+sessOut.Links["questions"], nil)
-		var qs struct {
-			Questions []scrutinizer.SessionQuestion `json:"questions"`
-			Done      bool                          `json:"done"`
-		}
-		decodeJSON(t, resp, &qs)
-		if qs.Done {
-			break
-		}
-		questions = qs.Questions
+	// Answer everything with the simulated crowd (cost model and truth
+	// resolution identical to the batch path).
+	if sessOut.Links["answers"] != "/v1/runs/"+sessOut.ID+"/answers" {
+		t.Fatalf("session run links = %+v", sessOut.Links)
 	}
+	pumpRun(t, ts.URL, newSessionCrowd(t, w.Corpus, w.Document, seed, 3), sessOut)
 
 	resp = do(t, "GET", ts.URL+sessOut.Links["report"], nil)
 	var rep sessionReportResponse
@@ -420,10 +387,10 @@ func TestV1SessionRunMatchesBatch(t *testing.T) {
 		t.Fatalf("session secs/acc %v/%v vs batch %v/%v", rep.CrowdSecs, rep.Accuracy, batchOut.CrowdSecs, batchOut.Accuracy)
 	}
 
-	// The session is also reachable through the legacy alias.
-	resp = do(t, "GET", ts.URL+"/sessions/"+sessOut.ID, nil)
+	// The run link resolves to its progress.
+	resp = do(t, "GET", ts.URL+sessOut.Links["run"], nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy alias for v1 run: status %d", resp.StatusCode)
+		t.Fatalf("run link: status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 
@@ -441,7 +408,7 @@ func TestV1ConcurrentRunsOneVerifier(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	info := trainV1Verifier(t, ts, "default", w.Document, 7)
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 7)
 	payload := map[string]any{
 		"document": json.RawMessage(docJSON(t, w.Document)),
 		"batch":    10,
@@ -484,7 +451,7 @@ func TestV1RejectsBadInput(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	info := trainV1Verifier(t, ts, "default", w.Document, 3)
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 3)
 
 	for _, tc := range []struct {
 		name, method, path string
@@ -557,7 +524,7 @@ func TestHealthzServiceStats(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	info := trainV1Verifier(t, ts, "default", w.Document, 5)
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 5)
 	// Park one session so per-verifier session counts are visible.
 	body := mustJSON(t, map[string]any{
 		"document": json.RawMessage(docJSON(t, w.Document)), "mode": "session"})

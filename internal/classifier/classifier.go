@@ -46,7 +46,7 @@
 // calls (pinned by a property test) at a fraction of the allocations.
 //
 // This substitutes the scikit-learn models of the authors' Python
-// implementation; see DESIGN.md.
+// implementation; see the README's "Package map".
 package classifier
 
 import (

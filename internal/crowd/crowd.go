@@ -7,7 +7,7 @@
 // of three checkers, our system obtains 100% accuracy").
 //
 // This package substitutes the professional IEA fact checkers of the
-// original deployment; see DESIGN.md.
+// original deployment; see the README's "Package map".
 package crowd
 
 import (

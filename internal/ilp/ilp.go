@@ -1,6 +1,7 @@
 // Package ilp implements a 0/1 integer linear programming solver used for
 // claim-batch selection (paper Definition 9 / Theorem 8). It substitutes the
-// Gurobi solver of the authors' implementation; see DESIGN.md.
+// Gurobi solver of the authors' implementation (see the README's
+// "Package map").
 //
 // The model form is:
 //

@@ -197,7 +197,6 @@ func (q *Query) ExecuteInterpreted(c *table.Corpus) (float64, error) {
 	return v, nil
 }
 
-
 // concreteSelect returns the SELECT expression with attribute variables
 // substituted by their concrete labels, for rendering.
 func (q *Query) concreteSelect() expr.Node {

@@ -1,8 +1,8 @@
 // Package sim drives the two evaluations of the paper's §6 on the
 // synthetic world: the user study replica (Figures 5 and 6) and the
 // report-scale simulation (Table 2, Figures 7, 8, 9 and 10). The crowd is
-// simulated with the §5.1 cost model; see DESIGN.md for the substitution
-// rationale.
+// simulated with the §5.1 cost model; see the README's "Package map" for
+// the substitutions.
 //
 // RunUserStudy replays the 23-claim, 20-minute-per-checker study with
 // StudyCostModel (calibrated so manual verification of a study claim costs

@@ -1,6 +1,6 @@
 // Package worldgen generates the synthetic energy-statistics world that
 // substitutes for the proprietary IEA data of the paper's evaluation (see
-// DESIGN.md). Generate produces a World holding:
+// the README's "Package map"). Generate produces a World holding:
 //
 //   - a corpus of relations shaped like the paper's Figure 1 (row keys are
 //     indicator codes, columns are years, values follow smooth trends),

@@ -138,6 +138,7 @@ awk '
   }
 for series in \
   'scrutinizer_http_requests_total{route="v1/verifiers",code="200"}' \
+  'scrutinizer_http_requests_total{route="v1/verifiers/runs",code="200"}' \
   scrutinizer_runs_started_total \
   scrutinizer_run_rounds_total \
   scrutinizer_sessions_created_total \

@@ -25,13 +25,13 @@
 //     fmt.Println(result.Report())
 //
 // Service is the multi-tenant registry over these resources; cmd/scrutinizerd
-// serves it as a versioned /v1 REST API. The historical single-use System
-// (scrutinizer.New welds corpus + document + freshly fitted features into
-// one instance) survives as a thin compatibility shim over Verifier and
-// Run.
+// serves it as a versioned /v1 REST API. System (scrutinizer.New) is the
+// cold-start, single-document entry point of the paper's Algorithm 1: it
+// fits features on the document under verification and lets batch
+// retraining warm the classifiers up as claims are checked.
 //
-// See the examples directory for runnable end-to-end programs and DESIGN.md
-// for the architecture and the paper-to-package map.
+// See the examples directory for runnable end-to-end programs and the
+// README's "Package map" for the paper-to-package map.
 package scrutinizer
 
 import (
@@ -79,8 +79,6 @@ type (
 	QueryCache = core.QueryCache
 	// QueryCacheStats is a point-in-time cache summary.
 	QueryCacheStats = core.QueryCacheStats
-	// CorpusIndexStats summarises the corpus's interned index.
-	CorpusIndexStats = table.IndexStats
 )
 
 // NewQueryCache builds a shared tentative-execution cache. Pass it through
@@ -143,7 +141,7 @@ func PaperWorld() WorldConfig { return worldgen.PaperScale() }
 // DefaultCostModel returns the reference §5.1 cost constants.
 func DefaultCostModel() CostModel { return planner.DefaultCostModel() }
 
-// Options configures a Verifier (or the legacy System).
+// Options configures a Verifier or a System.
 type Options struct {
 	// Cost overrides the crowd cost model (zero value = default).
 	Cost CostModel
@@ -161,13 +159,13 @@ type Options struct {
 	QueryCache *QueryCache
 }
 
-// System is the legacy single-use facade: one corpus + one document + a
-// feature pipeline fitted on that document. It survives as a thin shim
-// over the Verifier/Run split — a System is a verifier whose training
-// document is the document under verification, with classifiers
-// cold-started (train them via Train or let run-level batch retraining
-// warm them up). New code serving many documents should use NewVerifier
-// or Service instead and fit features once.
+// System verifies one document from a cold start, as Algorithm 1
+// describes: one corpus + one document + a feature pipeline fitted on that
+// document, with classifiers cold-started (train them via Train or let
+// batch retraining warm them up as claims are verified). It is a verifier
+// whose training document is the document under verification, driving
+// that verifier's engine directly. Code serving many documents should use
+// NewVerifier or Service instead and fit features once.
 type System struct {
 	v   *Verifier
 	run *Run
@@ -184,9 +182,9 @@ func New(corpus *Corpus, doc *Document, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The shim keeps the historical single-use semantics by handing the
-	// verifier's base engine itself to one eager run: Train mutates it,
-	// VerifyDocument retrains it batch by batch, sessions own it.
+	// A System is single-use: the verifier's base engine itself goes to
+	// one eager run, which Train mutates and VerifyDocument retrains batch
+	// by batch.
 	return &System{v: v, run: &Run{verifier: v, engine: v.base, doc: doc}}, nil
 }
 
@@ -298,46 +296,6 @@ type SessionOptions struct {
 	// Checkers is the number of humans skimming each section (the
 	// SectionReadCost multiplier); default 1.
 	Checkers int
-}
-
-// sessionOptions converts facade session options to the internal form.
-func sessionOptions(opts SessionOptions) session.Options {
-	parallelism := opts.Verify.Parallelism
-	if parallelism <= 0 {
-		parallelism = core.DefaultParallelism()
-	}
-	return session.Options{Verify: core.VerifyConfig{
-		BatchSize:       opts.Verify.BatchSize,
-		SectionReadCost: opts.Verify.SectionReadCost,
-		Ordering:        opts.Verify.Ordering,
-		Parallelism:     parallelism,
-		Seed:            opts.Verify.Seed,
-		Checkers:        opts.Checkers,
-	}}
-}
-
-// StartSession parks the system's document in an interactive verification
-// session registered with m. The session owns the system's engine from
-// here on: batch-boundary retraining mutates it, so do not mix a live
-// session with VerifyDocument on the same System. (Verifier.StartSession
-// has no such restriction — every session gets a private engine.)
-func (s *System) StartSession(ctx context.Context, m *SessionManager, opts SessionOptions) (*Session, error) {
-	if m == nil {
-		return nil, fmt.Errorf("scrutinizer: nil session manager")
-	}
-	return m.Create(ctx, s.run.engine, s.run.doc, sessionOptions(opts))
-}
-
-// RestoreSession rebuilds a session from a snapshot by replaying its
-// answer log. The System must be freshly constructed exactly like the
-// snapshotted session's (same corpus, document, options and seed);
-// verification is deterministic in (engine, document, answers), so the
-// replayed session reaches a bit-identical state.
-func (s *System) RestoreSession(ctx context.Context, m *SessionManager, opts SessionOptions, snap *SessionSnapshot) (*Session, error) {
-	if m == nil {
-		return nil, fmt.Errorf("scrutinizer: nil session manager")
-	}
-	return m.Restore(ctx, s.run.engine, s.run.doc, sessionOptions(opts), snap)
 }
 
 // Report renders the verification report (Definition 4 output).

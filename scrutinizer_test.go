@@ -166,21 +166,21 @@ func min(a, b int) int {
 
 // TestSessionFacade walks the interactive API end to end at the facade
 // level: start a session, answer a few screens, snapshot, replay the
-// snapshot on a freshly built System, and check the restored session is
-// in the same place.
+// snapshot on a freshly trained Verifier, and check the restored session
+// is in the same place.
 func TestSessionFacade(t *testing.T) {
 	w := testWorld(t)
-	newSys := func() *System {
-		sys, err := New(w.Corpus, w.Document, Options{Seed: 3})
+	newVerifier := func() *Verifier {
+		v, err := NewVerifier(w.Corpus, w.Document, Options{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys
+		return v
 	}
 	opts := SessionOptions{Verify: VerifyOptions{BatchSize: 8}, Checkers: 2}
 
 	m := NewSessionManager(0, 0)
-	sess, err := newSys().StartSession(context.Background(), m, opts)
+	sess, err := newVerifier().StartSession(context.Background(), m, w.Document, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSessionFacade(t *testing.T) {
 	}
 
 	snap := sess.Snapshot()
-	restored, err := newSys().RestoreSession(context.Background(), NewSessionManager(0, 0), opts, snap)
+	restored, err := newVerifier().RestoreSession(context.Background(), NewSessionManager(0, 0), w.Document, opts, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

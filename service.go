@@ -5,7 +5,7 @@ package scrutinizer
 // learning across many checking tasks (the paper's premise — IEA checkers
 // verify report after report against the same statistical corpus).
 //
-// Three resources replace the single-use System:
+// Three resources split what a single-use System welds together:
 //
 //   - Corpus: registered relational data, shared read-only by everything
 //     bound to it, with one tentative-execution QueryCache per corpus.
@@ -19,8 +19,8 @@ package scrutinizer
 //     (Verifier.StartSession) — executed against a Verifier.
 //
 // Service is the registry tying them together for multi-tenant serving
-// (cmd/scrutinizerd exposes it as the versioned /v1 REST surface). The
-// legacy System facade survives as a thin shim over these types.
+// (cmd/scrutinizerd exposes it as the versioned /v1 REST surface). System,
+// the cold-start single-document entry point, is built on these types.
 
 import (
 	"context"
@@ -88,10 +88,9 @@ func NewVerifier(corpus *Corpus, training *Document, opts Options) (*Verifier, e
 	return newVerifier(corpus, training, opts, true)
 }
 
-// newVerifier is NewVerifier with the initial classifier fit optional: the
-// legacy System facade constructs its verifier untrained so System.New
-// keeps its historical cold-start semantics (training happens through
-// System.Train or at run-level batch barriers).
+// newVerifier is NewVerifier with the initial classifier fit optional:
+// System constructs its verifier untrained so New cold-starts (training
+// happens through System.Train or at run-level batch barriers).
 func newVerifier(corpus *Corpus, training *Document, opts Options, pretrain bool) (*Verifier, error) {
 	if corpus == nil || training == nil {
 		return nil, fmt.Errorf("scrutinizer: corpus and training document are required")
@@ -278,10 +277,21 @@ func (v *Verifier) RestoreSession(ctx context.Context, m *SessionManager, doc *D
 	return sess, nil
 }
 
+// sessionOptions converts facade session options to the internal form,
+// tagging the session with the verifier's ID.
 func (v *Verifier) sessionOptions(opts SessionOptions) session.Options {
-	so := sessionOptions(opts)
-	so.Owner = v.id
-	return so
+	parallelism := opts.Verify.Parallelism
+	if parallelism <= 0 {
+		parallelism = core.DefaultParallelism()
+	}
+	return session.Options{Owner: v.id, Verify: core.VerifyConfig{
+		BatchSize:       opts.Verify.BatchSize,
+		SectionReadCost: opts.Verify.SectionReadCost,
+		Ordering:        opts.Verify.Ordering,
+		Parallelism:     parallelism,
+		Seed:            opts.Verify.Seed,
+		Checkers:        opts.Checkers,
+	}}
 }
 
 // NewTeam creates n simulated domain experts with near-perfect judgement,
@@ -591,18 +601,6 @@ func (s *Service) DropRelation(corpusID, name string) (bool, error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// CorpusQueryCache returns the shared tentative-execution cache of a
-// registered corpus (health reporting).
-func (s *Service) CorpusQueryCache(id string) (*QueryCache, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.corpora[id]
-	if !ok {
-		return nil, false
-	}
-	return e.qcache, true
 }
 
 // RemoveCorpus drops a corpus and every verifier bound to it, reporting

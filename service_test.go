@@ -342,10 +342,6 @@ func TestServiceRegistry(t *testing.T) {
 	}
 
 	// The verifier shares the corpus's query cache.
-	qc, ok := svc.CorpusQueryCache("iea")
-	if !ok {
-		t.Fatal("corpus cache missing")
-	}
 	run, err := v.StartRun(context.Background(), w.Document)
 	if err != nil {
 		t.Fatal(err)
@@ -357,8 +353,8 @@ func TestServiceRegistry(t *testing.T) {
 	if _, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if st := qc.Stats(); st.Entries == 0 {
-		t.Errorf("run did not populate the corpus query cache: %+v", st)
+	if info, _ := svc.CorpusInfo("iea"); info.Cache.Entries == 0 {
+		t.Errorf("run did not populate the corpus query cache: %+v", info.Cache)
 	}
 
 	infos := svc.Corpora()
