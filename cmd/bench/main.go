@@ -61,14 +61,16 @@ type trackedBench struct {
 }
 
 // defaultTracked is the curated paper-figure + hot-path set. The classifier
-// three are the acceptance benchmarks of the sparse-engine rewrite; the
-// table/query/core trio are the acceptance benchmarks of the compiled
-// query engine (BenchmarkGenerateQueries vs its Interpreted reference is
-// the ≥5x ratio); the root Verify pair is the serving-throughput headline.
+// set holds the acceptance benchmarks of the sparse-engine rewrite plus
+// BenchmarkGrowingRetrain, the growing-vocabulary retrain sequence of a
+// document run; the table/query/core trio are the acceptance benchmarks of
+// the compiled query engine (BenchmarkGenerateQueries vs its Interpreted
+// reference is the ≥5x ratio); the root Verify pair is the
+// serving-throughput headline.
 // BenchmarkVerifyInstrumented vs BenchmarkVerifyEndToEnd pins the cost of
 // the run-lifecycle metric hooks: <2% ns/op and equal allocs/op.
 var defaultTracked = []trackedBench{
-	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkPredictTopK|BenchmarkEntropy"},
+	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkGrowingRetrain|BenchmarkPredictTopK|BenchmarkEntropy"},
 	{Pkg: "./internal/textproc", Bench: "BenchmarkSparseDot|BenchmarkTransform"},
 	{Pkg: "./internal/table", Bench: "BenchmarkCellLookup$|BenchmarkCellLookupString"},
 	{Pkg: "./internal/query", Bench: "BenchmarkPlanExecute|BenchmarkExecuteCompiled|BenchmarkExecuteInterpreted"},

@@ -52,6 +52,7 @@ type daemonMetrics struct {
 	runsCancelled  *obs.Counter
 	rounds         *obs.Counter
 	retrains       *obs.Counter
+	modelFits      [4][2]*obs.Counter // [kind][warm], see modelFit
 	batchScoreSize *obs.Histogram
 
 	// Scrape-time mirrors refreshed from component stats.
@@ -132,6 +133,12 @@ func newDaemonMetrics(started time.Time) *daemonMetrics {
 		memoMisses: reg.NewCounter("scrutinizer_feature_memo_misses_total",
 			"Feature-vector memo misses (process-wide)."),
 	}
+	fits := reg.NewCounterVec("scrutinizer_model_fits_total",
+		"Property classifiers fitted by retrains, by property kind and start (warm reuses the previous weights, cold refits from scratch).", "kind", "start")
+	for _, k := range core.PropertyKinds() {
+		m.modelFits[k][0] = fits.With(k.String(), "cold")
+		m.modelFits[k][1] = fits.With(k.String(), "warm")
+	}
 	reg.NewGaugeFunc("scrutinizer_go_goroutines",
 		"Live goroutines.", func() float64 { return float64(runtime.NumGoroutine()) })
 	reg.NewGaugeFunc("scrutinizer_go_heap_alloc_bytes",
@@ -156,8 +163,19 @@ func (m *daemonMetrics) observer() *core.Observer {
 		RunCancelled: m.runsCancelled.Inc,
 		Round:        m.rounds.Inc,
 		Retrain:      m.retrains.Inc,
+		ModelFit:     m.modelFit,
 		BatchScored:  func(n int) { m.batchScoreSize.Observe(float64(n)) },
 	}
+}
+
+// modelFit counts one fitted classifier. The 8 series are resolved at
+// registration, so the hook is a single atomic add.
+func (m *daemonMetrics) modelFit(kind core.PropertyKind, warm bool) {
+	start := 0
+	if warm {
+		start = 1
+	}
+	m.modelFits[kind][start].Inc()
 }
 
 // statsSnapshot is one consistent gather of every component's stats — the

@@ -67,22 +67,34 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	mr, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// withMetrics counts a request and leaves the in-flight gauge after its
+	// handler returns, so the client can hold a response before that
+	// request is counted. Re-scrape until the gauge shows only the scrape
+	// itself: every earlier request is then counted.
+	scrape := func() string {
+		mr, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mr.Body.Close()
+		if mr.StatusCode != http.StatusOK {
+			t.Fatalf("/metrics status = %d", mr.StatusCode)
+		}
+		if ct := mr.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+			t.Errorf("Content-Type = %q", ct)
+		}
+		raw, err := io.ReadAll(mr.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
 	}
-	defer mr.Body.Close()
-	if mr.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status = %d", mr.StatusCode)
+	body := scrape()
+	deadline := time.Now().Add(2 * time.Second)
+	for !strings.Contains(body, "\nscrutinizer_http_inflight_requests 1\n") && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		body = scrape()
 	}
-	if ct := mr.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	raw, err := io.ReadAll(mr.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
 
 	// Exposition validity: typed families, unique series, no stray lines.
 	types := map[string]string{}
@@ -151,6 +163,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"scrutinizer_store_appends_total",                                         // store
 		"scrutinizer_store_journal_records",                                       // store
 		"scrutinizer_go_goroutines",                                               // runtime
+		`scrutinizer_model_fits_total{kind="relation",start="cold"}`,              // core retrain
+		`scrutinizer_model_fits_total{kind="relation",start="warm"}`,              // core retrain
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing %q in /metrics output", want)
@@ -163,6 +177,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"scrutinizer_runs_started_total 0",
 		"scrutinizer_run_rounds_total 0",
 		"scrutinizer_model_retrains_total 0",
+		`scrutinizer_model_fits_total{kind="relation",start="cold"} 0`,
+		`scrutinizer_model_fits_total{kind="relation",start="warm"} 0`,
 		"scrutinizer_store_appends_total 0",
 	} {
 		if strings.Contains(body, name+"\n") {

@@ -56,6 +56,60 @@ func BenchmarkWarmRetrain500x200(b *testing.B) {
 	}
 }
 
+// growingSet builds a training set whose prefixes grow the label
+// vocabulary the way a document run's labelled set does: prefix
+// [0, (b+1)*step) holds labels [0, labelsAt(b)), with every label first
+// seen at the head of the step that introduces it, so each longer prefix's
+// vocabulary is a strict superset of the previous one's. Labels rise
+// linearly from startLabels to endLabels over the n/step prefixes.
+func growingSet(n, step, startLabels, endLabels, nnz int, seed int64) []Example {
+	rng := rand.New(rand.NewSource(seed))
+	steps := n / step
+	out := make([]Example, 0, n)
+	seen := 0
+	for b := 0; b < steps; b++ {
+		labels := startLabels
+		if steps > 1 {
+			labels += (endLabels - startLabels) * b / (steps - 1)
+		}
+		for i := 0; i < step; i++ {
+			label := seen
+			if seen < labels {
+				seen++
+			} else {
+				label = rng.Intn(labels)
+			}
+			f := textproc.Vector{label: 1} // separable core signal
+			for j := 0; j < nnz; j++ {
+				f[endLabels+rng.Intn(2000)] = rng.Float64()
+			}
+			out = append(out, Example{Features: f.Sparse(), Label: fmt.Sprintf("label-%d", label)})
+		}
+	}
+	return out
+}
+
+// BenchmarkGrowingRetrain measures the retrain sequence of one document
+// run on the profile's widest model: the labelled set grows by 20 examples
+// and a few labels per call, from 7 to 91 labels over 400 examples, and
+// every call after the first takes the growing-vocabulary warm path.
+func BenchmarkGrowingRetrain(b *testing.B) {
+	const step = 20
+	set := growingSet(400, step, 7, 91, 40, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := New(Config{Seed: 1})
+		for cut := step; cut <= len(set); cut += step {
+			if err := c.Train(set[:cut]); err != nil {
+				b.Fatal(err)
+			}
+			if cut > step && !c.WarmStarted() {
+				b.Fatalf("retrain at %d examples went cold", cut)
+			}
+		}
+	}
+}
+
 func BenchmarkPredictTopK(b *testing.B) {
 	set := benchSet(500, 200, 40, 2)
 	c := New(Config{Epochs: 5, Seed: 1})

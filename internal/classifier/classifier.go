@@ -27,13 +27,16 @@
 // # Warm-start retraining
 //
 // Algorithm 1 retrains after every crowd batch on the accumulated label
-// set. When a retrain's label vocabulary is exactly the vocabulary of the
-// previous fit, Train reuses the existing weights and AdaGrad state and
-// runs only Config.WarmStartEpochs passes (the dense matrix grows in place
-// if new feature indexes appeared). When the vocabulary changed — new
-// labels surfaced, old ones vanished — it falls back to a from-scratch fit,
-// so stale classes can never linger. Config.ColdStart disables the warm
-// path entirely for callers that need scratch-identical models.
+// set, which only grows during a run. When a retrain's label vocabulary is
+// a superset of the previous fit's, Train reuses the existing weights and
+// AdaGrad state and runs only Config.WarmStartEpochs passes: labels new to
+// the model are appended after the existing ones, the feature-major
+// matrices are re-laid to the wider stride with zero-initialised class
+// columns, and they grow in the same step if new feature indexes appeared.
+// When a label of the previous fit is absent from the new set, Train falls
+// back to a from-scratch fit, so stale classes can never linger.
+// Config.ColdStart disables the warm path entirely for callers that need
+// scratch-identical models.
 //
 // # Batch scoring
 //
@@ -68,8 +71,8 @@ type Config struct {
 	// Seed drives the (deterministic) example shuffling.
 	Seed int64
 	// WarmStartEpochs is the number of passes a warm-start retrain runs
-	// when the label vocabulary is unchanged and the previous weights are
-	// reused (default max(2, Epochs/3)).
+	// when the new label vocabulary is a superset of the current one and
+	// the previous weights are reused (default max(2, Epochs/3)).
 	WarmStartEpochs int
 	// ColdStart forces every Train call to refit from scratch, disabling
 	// warm-start weight reuse.
@@ -204,11 +207,13 @@ func (c *Classifier) TrainedOn() int { return c.trained }
 func (c *Classifier) WarmStarted() bool { return c.warm }
 
 // Train fits the model on examples. When the example set's label
-// vocabulary is identical to the current one (and ColdStart is off), the
+// vocabulary is a superset of the current one (and ColdStart is off), the
 // existing weights and AdaGrad state are reused and only WarmStartEpochs
-// passes run — the cheap per-batch retrain of Algorithm 1. Otherwise the
-// vocabulary is rebuilt and the model refits from scratch over Epochs
-// passes.
+// passes run — the cheap per-batch retrain of Algorithm 1. Labels new to
+// the model are appended after the existing ones in first-seen order, with
+// zero-initialised weight columns. When any current label is absent from
+// the example set, the vocabulary is rebuilt and the model refits from
+// scratch over Epochs passes.
 func (c *Classifier) Train(examples []Example) error {
 	if len(examples) == 0 {
 		return fmt.Errorf("classifier: no training examples")
@@ -224,11 +229,11 @@ func (c *Classifier) Train(examples []Example) error {
 			maxIdx = m
 		}
 	}
-	warm := !c.cfg.ColdStart && c.trained > 0 && len(fresh) == len(c.labels)
+	warm := !c.cfg.ColdStart && c.trained > 0 && len(fresh) >= len(c.labels)
 	if warm {
-		for l := range fresh {
-			if _, ok := c.labelIdx[l]; !ok {
-				warm = false
+		for _, l := range c.labels {
+			if !fresh[l] {
+				warm = false // a label vanished: stale classes must not linger
 				break
 			}
 		}
@@ -237,37 +242,28 @@ func (c *Classifier) Train(examples []Example) error {
 	epochs := c.cfg.Epochs
 	if warm {
 		epochs = c.cfg.WarmStartEpochs
-		if width := maxIdx + 1; width > c.dim {
-			// New feature indexes appeared: grow the matrices. The
-			// feature-major layout appends rows at the end, so this is a
-			// plain copy.
-			nL := len(c.labels)
-			grown := make([]float64, width*nL)
-			copy(grown, c.w)
-			c.w = grown
-			grown = make([]float64, width*nL)
-			copy(grown, c.gsq)
-			c.gsq = grown
-			c.dim = width
-		}
 	} else {
-		c.labels = nil
-		c.labelIdx = make(map[string]int, len(fresh))
-		for _, ex := range examples {
-			if _, ok := c.labelIdx[ex.Label]; !ok {
-				c.labelIdx[ex.Label] = len(c.labels)
-				c.labels = append(c.labels, ex.Label)
-			}
-		}
-		nL := len(c.labels)
-		c.dim = maxIdx + 1
-		c.w = make([]float64, c.dim*nL)
-		c.gsq = make([]float64, c.dim*nL)
-		c.bias = make([]float64, nL)
-		c.gsqB = make([]float64, nL)
-		// Pooled scratch buffers of the old width are filtered out by the
-		// length check in getScratch and fall to the collector.
+		// A cold refit grows an empty model to the new shape.
+		c.labels, c.labelIdx = nil, make(map[string]int, len(fresh))
+		c.dim, c.w, c.gsq, c.bias, c.gsqB = 0, nil, nil, nil, nil
 	}
+	oldL := len(c.labels)
+	for _, ex := range examples {
+		if _, ok := c.labelIdx[ex.Label]; !ok {
+			c.labelIdx[ex.Label] = len(c.labels)
+			c.labels = append(c.labels, ex.Label)
+		}
+	}
+	width := max(c.dim, maxIdx+1)
+	c.w = relayout(c.w, c.dim, oldL, width, len(c.labels))
+	c.gsq = relayout(c.gsq, c.dim, oldL, width, len(c.labels))
+	c.dim = width
+	if grow := len(c.labels) - oldL; grow > 0 {
+		c.bias = append(c.bias, make([]float64, grow)...)
+		c.gsqB = append(c.gsqB, make([]float64, grow)...)
+	}
+	// Pooled scratch buffers of an old label width are filtered out by the
+	// length check in getScratch and fall to the collector.
 	c.trained = len(examples)
 	c.warm = warm
 	c.rounds++
@@ -299,6 +295,22 @@ func (c *Classifier) Train(examples []Example) error {
 		}
 	}
 	return nil
+}
+
+// relayout returns the feature-major matrix m (oldDim rows of oldL
+// values) at the shape newDim × newL, with newDim >= oldDim and
+// newL >= oldL: each old row's values keep their class columns and every
+// new row and column is zero. m itself is returned when the shape is
+// unchanged.
+func relayout(m []float64, oldDim, oldL, newDim, newL int) []float64 {
+	if newDim == oldDim && newL == oldL {
+		return m
+	}
+	out := make([]float64, newDim*newL)
+	for fi := 0; fi < oldDim; fi++ {
+		copy(out[fi*newL:fi*newL+oldL], m[fi*oldL:(fi+1)*oldL])
+	}
+	return out
 }
 
 // sgdStep applies one AdaGrad update for a single example. scores, grads

@@ -152,18 +152,19 @@ func BenchmarkVerifyWithDeadline(b *testing.B)        { benchVerifyE2E(b, false,
 // the hooks fire per round and per batch (never per claim) and each is
 // one atomic-pointer load plus an atomic add.
 func BenchmarkVerifyInstrumented(b *testing.B) {
-	var runs, rounds, retrains, scored atomic.Uint64
+	var runs, rounds, retrains, fits, scored atomic.Uint64
 	SetObserver(&Observer{
 		RunStarted:   func() { runs.Add(1) },
 		RunCompleted: func() { runs.Add(1) },
 		RunCancelled: func() { runs.Add(1) },
 		Round:        func() { rounds.Add(1) },
 		Retrain:      func() { retrains.Add(1) },
+		ModelFit:     func(PropertyKind, bool) { fits.Add(1) },
 		BatchScored:  func(n int) { scored.Add(uint64(n)) },
 	})
 	defer SetObserver(nil)
 	benchVerifyE2E(b, false, false)
-	if rounds.Load() == 0 || scored.Load() == 0 {
+	if rounds.Load() == 0 || scored.Load() == 0 || fits.Load() == 0 {
 		b.Fatal("observer hooks never fired")
 	}
 }

@@ -494,10 +494,11 @@ func (e *Engine) Featurize(c *claims.Claim) textproc.Sparse {
 
 // Train retrains all four classifiers from the annotated claims (those with
 // Truth set). Claims without annotations are skipped. It also refreshes the
-// formula library. Algorithm 1 calls this after every verified batch; once
-// a property's label vocabulary stops growing the underlying classifier
-// warm-starts from its previous weights instead of refitting from scratch
-// (see package classifier). The four models train concurrently; see train.
+// formula library. Algorithm 1 calls this after every verified batch; while
+// a property's label vocabulary only grows (a superset of the previous
+// fit's), the underlying classifier warm-starts from its previous weights
+// instead of refitting from scratch (see package classifier). The four
+// models train concurrently; see train.
 func (e *Engine) Train(annotated []*claims.Claim) error {
 	return e.train(annotated, DefaultParallelism())
 }
@@ -509,7 +510,9 @@ func (e *Engine) Train(annotated []*claims.Claim) error {
 // times down to the slowest single model, which is the serial bottleneck
 // of document verification at paper scale. Verify threads its
 // VerifyConfig.Parallelism through here so a Parallelism=1 run is a truly
-// sequential baseline.
+// sequential baseline. Each model warm-starts on its own superset check, so
+// one retrain can mix warm and cold fits; every fitted model reports which
+// through the observer's ModelFit hook.
 func (e *Engine) train(annotated []*claims.Claim, parallelism int) error {
 	sets := make(map[PropertyKind][]classifier.Example, 4)
 	e.lib = formula.NewLibrary()
@@ -557,6 +560,11 @@ func (e *Engine) train(annotated []*claims.Claim, parallelism int) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
+		}
+	}
+	for _, k := range kinds {
+		if len(sets[k]) > 0 {
+			obsModelFit(k, e.models[k].WarmStarted())
 		}
 	}
 	if trainedAny {

@@ -28,6 +28,10 @@ type Observer struct {
 	// Retrain fires after each successful classifier retrain at the batch
 	// barrier.
 	Retrain func()
+	// ModelFit fires once per property classifier fitted by a retrain
+	// (barrier retrains and Verifier retrains alike), reporting whether
+	// the fit warm-started from the previous weights.
+	ModelFit func(kind PropertyKind, warm bool)
 	// BatchScored reports how many stale claims a batch-scored scheduler
 	// round featurized and scored.
 	BatchScored func(n int)
@@ -63,6 +67,12 @@ func obsRound() {
 func obsRetrain() {
 	if o := observer.Load(); o != nil && o.Retrain != nil {
 		o.Retrain()
+	}
+}
+
+func obsModelFit(kind PropertyKind, warm bool) {
+	if o := observer.Load(); o != nil && o.ModelFit != nil {
+		o.ModelFit(kind, warm)
 	}
 }
 

@@ -123,3 +123,62 @@ func TestSnapshotGeneration(t *testing.T) {
 		t.Fatalf("spawn generation %d, want %d", got, snap.Generation())
 	}
 }
+
+// TestSpawnedRunRetrainsWarm: the run's labelled set only grows, so in a
+// run spawned from a trained snapshot every barrier retrain after a
+// model's first one warm-starts. (The first refits cold: the snapshot's
+// bootstrap labels are not in the run's labelled set.) The fits are read
+// through the observer's ModelFit hook, which must fire once per fitted
+// model per retrain.
+func TestSpawnedRunRetrainsWarm(t *testing.T) {
+	e, w := buildEngine(t, tinyWorld())
+	if err := e.Train(w.Document.Claims[:30]); err != nil {
+		t.Fatal(err)
+	}
+	sp := e.Snapshot().Spawn()
+	team, err := crowd.NewTeam("W", 3, 0.97, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	fits := make(map[PropertyKind][]bool, 4)
+	retrains := 0
+	SetObserver(&Observer{
+		Retrain: func() {
+			mu.Lock()
+			retrains++
+			mu.Unlock()
+		},
+		ModelFit: func(k PropertyKind, warm bool) {
+			mu.Lock()
+			fits[k] = append(fits[k], warm)
+			mu.Unlock()
+		},
+	})
+	defer SetObserver(nil)
+	res, err := sp.Verify(context.Background(), w.Document, team, VerifyConfig{BatchSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetObserver(nil)
+
+	if res.Batches < 3 || retrains != res.Batches {
+		t.Fatalf("%d batches, %d barrier retrains", res.Batches, retrains)
+	}
+	for _, k := range PropertyKinds() {
+		seq := fits[k]
+		if len(seq) > retrains {
+			t.Errorf("%s: %d fits in %d retrains", k, len(seq), retrains)
+		}
+		if len(seq) < 2 {
+			t.Errorf("%s: only %d fits, the run never grew its labelled set", k, len(seq))
+			continue
+		}
+		for i, warm := range seq[1:] {
+			if !warm {
+				t.Errorf("%s: fit %d of %d refit cold (%d labels)", k, i+2, len(seq), sp.Model(k).NumLabels())
+			}
+		}
+	}
+}

@@ -160,10 +160,10 @@ func (v *Verifier) CorpusID() string { return v.corpusID }
 func (v *Verifier) Corpus() *Corpus { return v.corpus }
 
 // Retrain refits the classifiers on a set of annotated claims (claims
-// without Truth are skipped). When the label vocabulary is stable the
-// underlying models warm-start from their previous weights. Retraining
-// affects only runs started afterwards: live runs keep the snapshot they
-// spawned from.
+// without Truth are skipped). A model whose new label vocabulary is a
+// superset of its current one warm-starts from its previous weights; one
+// that lost a label refits from scratch. Retraining affects only runs
+// started afterwards: live runs keep the snapshot they spawned from.
 func (v *Verifier) Retrain(annotated []*Claim) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
