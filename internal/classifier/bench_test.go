@@ -90,9 +90,11 @@ func growingSet(n, step, startLabels, endLabels, nnz int, seed int64) []Example 
 }
 
 // BenchmarkGrowingRetrain measures the retrain sequence of one document
-// run on the profile's widest model: the labelled set grows by 20 examples
-// and a few labels per call, from 7 to 91 labels over 400 examples, and
-// every call after the first takes the growing-vocabulary warm path.
+// run on the profile's widest model, driven the way the engine's retrain
+// barrier drives it: the labelled set grows by 20 examples and a few
+// labels per call, from 7 to 91 labels over 400 examples, each call marks
+// its 20 examples as new, and every call after the first takes the
+// replay-sampled warm path.
 func BenchmarkGrowingRetrain(b *testing.B) {
 	const step = 20
 	set := growingSet(400, step, 7, 91, 40, 1)
@@ -100,7 +102,7 @@ func BenchmarkGrowingRetrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := New(Config{Seed: 1})
 		for cut := step; cut <= len(set); cut += step {
-			if err := c.Train(set[:cut]); err != nil {
+			if err := c.TrainSplit(set[:cut], cut-step); err != nil {
 				b.Fatal(err)
 			}
 			if cut > step && !c.WarmStarted() {

@@ -38,6 +38,30 @@
 // Config.ColdStart disables the warm path entirely for callers that need
 // scratch-identical models.
 //
+// A warm pass over the whole set still makes a run's training work grow
+// quadratically with its labelled set. TrainSplit lets a caller that knows
+// which examples are new since the model's previous fit (the engine's
+// retrain barrier knows which claims its batch labelled) say so: a warm
+// retrain then visits, per epoch, only the new examples plus a replay
+// sample of replayRatio times as many earlier ones, drawn afresh each
+// epoch from the same round-seeded stream as the shuffle. Each replayed
+// example's gradient is scaled by the number W of earlier examples it
+// stands in for, so an epoch's expected gradient is the full pass's and
+// the batch does not outweigh the history. The update is not: AdaGrad's
+// accumulators take the scaled gradient's square, so on the features
+// replay touches they grow up to W times faster than under a full pass,
+// shortening every later step there (State keeps them) by up to √W.
+// Accumulating the unbiased W·g² instead would keep the full pass's
+// accumulators but make each replayed step W times a plain one rather
+// than √W; in the growth tests' setting that scored about 8 points lower
+// held-out accuracy than the full pass (mean of 20 seeds), against 0.4
+// points for the form kept here. A retrain costs O(batch) rather than
+// O(labelled set). Newness is never inferred from the model's own
+// history: a model restored from a snapshot, or retrained on a different
+// split, has seen examples the caller's set does not hold. Cold
+// fits ignore the split and pass over the full set, and Train — TrainSplit
+// with nothing split off — is the full-pass retrain unchanged.
+//
 // # Batch scoring
 //
 // Algorithm 1 re-scores every remaining claim before every batch, and the
@@ -72,7 +96,9 @@ type Config struct {
 	Seed int64
 	// WarmStartEpochs is the number of passes a warm-start retrain runs
 	// when the new label vocabulary is a superset of the current one and
-	// the previous weights are reused (default max(2, Epochs/3)).
+	// the previous weights are reused (default max(2, Epochs/3)). A pass
+	// covers the whole set, or under TrainSplit only the new examples
+	// plus a replay sample of earlier ones.
 	WarmStartEpochs int
 	// ColdStart forces every Train call to refit from scratch, disabling
 	// warm-start weight reuse.
@@ -206,17 +232,41 @@ func (c *Classifier) TrainedOn() int { return c.trained }
 // weights (warm start) rather than refitting from scratch.
 func (c *Classifier) WarmStarted() bool { return c.warm }
 
-// Train fits the model on examples. When the example set's label
-// vocabulary is a superset of the current one (and ColdStart is off), the
-// existing weights and AdaGrad state are reused and only WarmStartEpochs
-// passes run — the cheap per-batch retrain of Algorithm 1. Labels new to
-// the model are appended after the existing ones in first-seen order, with
+// replayRatio sizes a split warm retrain's replay sample: each epoch
+// revisits replayRatio earlier examples per new one (all of them when the
+// earlier set is smaller). A smaller sample is cheaper and forgets more:
+// at 2 the Table 2 simulation moved beyond its fidelity tolerance at one
+// world seed (EXPERIMENTS.md), at 3 it did not.
+const replayRatio = 3
+
+// Train fits the model on examples, all of them treated as new: it is
+// TrainSplit(examples, 0). When the example set's label vocabulary is a
+// superset of the current one (and ColdStart is off), the existing weights
+// and AdaGrad state are reused and only WarmStartEpochs passes run — the
+// cheap per-batch retrain of Algorithm 1. Labels new to the model are
+// appended after the existing ones in first-seen order, with
 // zero-initialised weight columns. When any current label is absent from
 // the example set, the vocabulary is rebuilt and the model refits from
 // scratch over Epochs passes.
 func (c *Classifier) Train(examples []Example) error {
+	return c.TrainSplit(examples, 0)
+}
+
+// TrainSplit is Train for a caller that knows examples[:seen] were
+// already in the set of the model's previous fit and examples[seen:] are
+// new since. A warm retrain then runs its WarmStartEpochs passes over the
+// new examples plus, each epoch, a replay sample of earlier ones
+// (replayRatio per new example, capped at seen, each gradient weighted by
+// the number of earlier examples it stands in for) instead of the full set;
+// with no new examples it leaves the weights as they are. A cold refit
+// ignores seen and passes over every example; so does a warm retrain with
+// seen == 0, which is exactly Train.
+func (c *Classifier) TrainSplit(examples []Example, seen int) error {
 	if len(examples) == 0 {
 		return fmt.Errorf("classifier: no training examples")
+	}
+	if seen < 0 || seen > len(examples) {
+		return fmt.Errorf("classifier: %d seen of %d examples", seen, len(examples))
 	}
 	maxIdx := -1
 	fresh := make(map[string]bool, len(c.labels)+1)
@@ -243,9 +293,11 @@ func (c *Classifier) Train(examples []Example) error {
 	if warm {
 		epochs = c.cfg.WarmStartEpochs
 	} else {
-		// A cold refit grows an empty model to the new shape.
+		// A cold refit grows an empty model to the new shape, over the
+		// full set.
 		c.labels, c.labelIdx = nil, make(map[string]int, len(fresh))
 		c.dim, c.w, c.gsq, c.bias, c.gsqB = 0, nil, nil, nil, nil
+		seen = 0
 	}
 	oldL := len(c.labels)
 	for _, ex := range examples {
@@ -273,17 +325,48 @@ func (c *Classifier) Train(examples []Example) error {
 	grads := make([]float64, nL)
 	active := make([]int32, 0, nL)
 
+	// order is the epoch's visiting order: the new examples followed by
+	// the replay sample, which is empty when nothing is split off.
+	nNew := len(examples) - seen
+	nReplay := min(replayRatio*nNew, seen)
+	order := make([]int, nNew+nReplay)
+	for i := 0; i < nNew; i++ {
+		order[i] = seen + i
+	}
+	// A replayed example stands in for seen/nReplay earlier ones: scaling
+	// its gradient by that factor makes an epoch's expected gradient (not
+	// its update, see the package doc) the full pass's, so the earlier
+	// examples keep their weight against the batch's.
+	var earlier []int
+	var replayWeight float64
+	if nReplay > 0 {
+		replayWeight = float64(seen) / float64(nReplay)
+		earlier = make([]int, seen)
+		for i := range earlier {
+			earlier[i] = i
+		}
+	}
 	// Deterministic shuffled order via an LCG permutation per epoch; the
 	// stream advances with the round counter so warm-started retrains do
 	// not replay the previous call's order.
-	order := make([]int, len(examples))
-	for i := range order {
-		order[i] = i
-	}
 	state := uint64(c.cfg.Seed)*6364136223846793005 + 1442695040888963407 +
 		uint64(c.rounds-1)*0x9E3779B97F4A7C15
 
 	for epoch := 0; epoch < epochs; epoch++ {
+		if nReplay > 0 {
+			// Draw this epoch's replay sample by a partial Fisher-Yates
+			// over the earlier examples, then lay out the new ones before
+			// it (the previous epoch's shuffle mixed the two).
+			for i := 0; i < nReplay; i++ {
+				state = state*6364136223846793005 + 1442695040888963407
+				j := i + int(state>>33)%(seen-i)
+				earlier[i], earlier[j] = earlier[j], earlier[i]
+			}
+			for i := 0; i < nNew; i++ {
+				order[i] = seen + i
+			}
+			copy(order[nNew:], earlier[:nReplay])
+		}
 		// Fisher-Yates with the LCG.
 		for i := len(order) - 1; i > 0; i-- {
 			state = state*6364136223846793005 + 1442695040888963407
@@ -291,7 +374,11 @@ func (c *Classifier) Train(examples []Example) error {
 			order[i], order[j] = order[j], order[i]
 		}
 		for _, idx := range order {
-			active = c.sgdStep(examples[idx], scores, grads, active)
+			weight := 1.0
+			if idx < seen {
+				weight = replayWeight
+			}
+			active = c.sgdStep(examples[idx], scores, grads, active, weight)
 		}
 	}
 	return nil
@@ -313,15 +400,17 @@ func relayout(m []float64, oldDim, oldL, newDim, newL int) []float64 {
 	return out
 }
 
-// sgdStep applies one AdaGrad update for a single example. scores, grads
-// and active are caller-owned scratch (len == numLabels); the possibly
-// regrown active slice is returned for reuse.
-func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32) []int32 {
+// sgdStep applies one AdaGrad update for a single example whose gradient,
+// data and L2 terms alike, counts weight times (1 except for a replayed
+// example); the accumulators take the weighted gradient's square. scores,
+// grads and active are caller-owned scratch (len == numLabels); the
+// possibly regrown active slice is returned for reuse.
+func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32, weight float64) []int32 {
 	c.scoreInto(ex.Features, scores)
 	softmaxInPlace(scores)
 	target := c.labelIdx[ex.Label]
 	lr := c.cfg.LearningRate
-	l2 := c.cfg.L2
+	l2 := c.cfg.L2 * weight
 
 	// Collect the classes with non-negligible gradient: with hundreds of
 	// labels almost all softmax probabilities are ~0 and updating them is
@@ -336,6 +425,7 @@ func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32
 		if g > -1e-4 && g < 1e-4 {
 			continue
 		}
+		g *= weight
 		active = append(active, int32(class))
 		grads[class] = g
 		gb := g + l2*c.bias[class]

@@ -494,50 +494,70 @@ func (e *Engine) Featurize(c *claims.Claim) textproc.Sparse {
 
 // Train retrains all four classifiers from the annotated claims (those with
 // Truth set). Claims without annotations are skipped. It also refreshes the
-// formula library. Algorithm 1 calls this after every verified batch; while
-// a property's label vocabulary only grows (a superset of the previous
-// fit's), the underlying classifier warm-starts from its previous weights
-// instead of refitting from scratch (see package classifier). The four
-// models train concurrently; see train.
+// formula library. While a property's label vocabulary only grows (a
+// superset of the previous fit's), the underlying classifier warm-starts
+// from its previous weights instead of refitting from scratch (see package
+// classifier); every claim counts as new, so a warm fit still passes over
+// the whole set. The four models train concurrently; see train.
 func (e *Engine) Train(annotated []*claims.Claim) error {
-	return e.train(annotated, DefaultParallelism())
+	return e.train(annotated, 0, DefaultParallelism())
 }
 
-// train is Train with an explicit fan-out: the four models are independent
-// (own weights, own deterministic shuffle seed), so with parallelism > 1
-// they train concurrently — on a multi-core machine this takes the
-// per-batch retraining of Algorithm 1 from the sum of the four training
-// times down to the slowest single model, which is the serial bottleneck
-// of document verification at paper scale. Verify threads its
-// VerifyConfig.Parallelism through here so a Parallelism=1 run is a truly
-// sequential baseline. Each model warm-starts on its own superset check, so
-// one retrain can mix warm and cold fits; every fitted model reports which
-// through the observer's ModelFit hook.
-func (e *Engine) train(annotated []*claims.Claim, parallelism int) error {
+// train is Train with the caller's split and an explicit fan-out.
+// annotated[:seen] are the claims of the models' previous fit and
+// annotated[seen:] the ones labelled since: Algorithm 1's retrain barrier
+// passes its batch's labels as new, so each warm fit costs O(batch) — new
+// examples plus a replay sample (classifier.TrainSplit). seen == 0 is the
+// full-pass retrain. The four models are independent (own weights, own
+// deterministic shuffle seed), so with parallelism > 1 they train
+// concurrently — on a multi-core machine this takes the per-batch
+// retraining of Algorithm 1 from the sum of the four training times down
+// to the slowest single model, which is the serial bottleneck of document
+// verification at paper scale. Verify threads its VerifyConfig.Parallelism
+// through here so a Parallelism=1 run is a truly sequential baseline. Each
+// model warm-starts on its own superset check, so one retrain can mix warm
+// and cold fits; every fitted model reports which through the observer's
+// ModelFit hook.
+func (e *Engine) train(annotated []*claims.Claim, seen, parallelism int) error {
 	sets := make(map[PropertyKind][]classifier.Example, 4)
 	e.lib = formula.NewLibrary()
-	for _, c := range annotated {
-		if c == nil || c.Truth == nil {
-			continue
-		}
-		f := e.Featurize(c)
-		for _, k := range PropertyKinds() {
-			label := e.truthLabel(c.Truth, k)
-			if label == "" {
+	add := func(cs []*claims.Claim) error {
+		for _, c := range cs {
+			if c == nil || c.Truth == nil {
 				continue
 			}
-			sets[k] = append(sets[k], classifier.Example{Features: f, Label: label})
-		}
-		if c.Truth.Formula != "" {
-			// The cached equivalent of lib.AddString: the same annotation
-			// formula re-enters training every round, so parse and render
-			// it once.
-			ent := e.fc.intern(c.Truth.Formula)
-			if ent.err != nil {
-				return fmt.Errorf("core: claim %d has malformed formula %q: %w", c.ID, c.Truth.Formula, ent.err)
+			f := e.Featurize(c)
+			for _, k := range PropertyKinds() {
+				label := e.truthLabel(c.Truth, k)
+				if label == "" {
+					continue
+				}
+				sets[k] = append(sets[k], classifier.Example{Features: f, Label: label})
 			}
-			e.lib.AddKeyed(ent.canon, ent.f)
+			if c.Truth.Formula != "" {
+				// The cached equivalent of lib.AddString: the same
+				// annotation formula re-enters training every round, so
+				// parse and render it once.
+				ent := e.fc.intern(c.Truth.Formula)
+				if ent.err != nil {
+					return fmt.Errorf("core: claim %d has malformed formula %q: %w", c.ID, c.Truth.Formula, ent.err)
+				}
+				e.lib.AddKeyed(ent.canon, ent.f)
+			}
 		}
+		return nil
+	}
+	if err := add(annotated[:seen]); err != nil {
+		return err
+	}
+	// Each model's examples keep claim order, so its new ones are the
+	// suffix past the examples the earlier claims produced.
+	seenK := make(map[PropertyKind]int, len(sets))
+	for k, set := range sets {
+		seenK[k] = len(set)
+	}
+	if err := add(annotated[seen:]); err != nil {
+		return err
 	}
 	kinds := PropertyKinds()
 	errs := make([]error, len(kinds))
@@ -553,7 +573,7 @@ func (e *Engine) train(annotated []*claims.Claim, parallelism int) error {
 		if len(sets[k]) == 0 {
 			return // stay untrained for this property (cold start)
 		}
-		if err := e.models[k].Train(sets[k]); err != nil {
+		if err := e.models[k].TrainSplit(sets[k], seenK[k]); err != nil {
 			errs[i] = fmt.Errorf("core: training %s classifier: %w", k, err)
 		}
 	})

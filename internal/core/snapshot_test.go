@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
+	"github.com/repro/scrutinizer/internal/claims"
+	"github.com/repro/scrutinizer/internal/classifier"
 	"github.com/repro/scrutinizer/internal/crowd"
 )
 
@@ -179,6 +182,85 @@ func TestSpawnedRunRetrainsWarm(t *testing.T) {
 			if !warm {
 				t.Errorf("%s: fit %d of %d refit cold (%d labels)", k, i+2, len(seq), sp.Model(k).NumLabels())
 			}
+		}
+	}
+}
+
+// TestSpawnedRunFitsEveryRunExample: the retrain barrier, not a model's
+// own history, says which labels are new. A run spawned from an engine
+// bootstrap-trained on 40 claims labels the whole 60-claim document in its
+// first batch, so its first barrier warm-starts on more run labels than
+// the bootstrap held, all of them new to the run. Each model must then
+// equal a spawn fitted on the same labels by the full-pass Engine.Train. A
+// classifier that counted its bootstrap examples as already seen would
+// replay-sample the head of the run's set instead, and one that took the
+// barrier's batch as already seen would not fit it at all.
+func TestSpawnedRunFitsEveryRunExample(t *testing.T) {
+	e, w := buildEngine(t, tinyWorld())
+	if err := e.Train(w.Document.Claims[:40]); err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Snapshot()
+	team, err := crowd.NewTeam("W", 3, 0.97, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[int]*claims.Claim, len(w.Document.Claims))
+	for _, c := range w.Document.Claims {
+		byID[c.ID] = c
+	}
+
+	sp := snap.Spawn()
+	var labelled []*claims.Claim
+	fitted := make(map[PropertyKind]classifier.State, 4)
+	warm := 0
+	vc := VerifyConfig{BatchSize: 60, AfterBatch: func(batch, _ int, outcomes []*Outcome) {
+		if batch != 1 {
+			return
+		}
+		for _, out := range outcomes {
+			if out.Label != nil {
+				c := *byID[out.ClaimID]
+				c.Truth = out.Label
+				labelled = append(labelled, &c)
+			}
+		}
+		for _, k := range PropertyKinds() {
+			m := sp.Model(k)
+			fitted[k] = m.State()
+			if m.WarmStarted() && m.TrainedOn() > e.Model(k).TrainedOn() {
+				warm++
+			}
+		}
+	}}
+	if _, err := sp.Verify(context.Background(), w.Document, team, vc); err != nil {
+		t.Fatal(err)
+	}
+	if len(labelled) <= 40 {
+		t.Fatalf("first batch labelled %d claims, want more than the bootstrap's 40", len(labelled))
+	}
+	if warm == 0 {
+		t.Fatal("no model warm-started on more run labels than its bootstrap set")
+	}
+
+	// The reference models forget how many examples they were fitted on:
+	// a full-pass fit must not depend on that count.
+	ref := snap.Spawn()
+	for _, k := range PropertyKinds() {
+		st := ref.Model(k).State()
+		st.Trained = 1
+		m, err := classifier.FromState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.models[k] = m
+	}
+	if err := ref.Train(labelled); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range PropertyKinds() {
+		if !reflect.DeepEqual(fitted[k], ref.Model(k).State()) {
+			t.Errorf("%s: the first barrier's fit differs from a full pass over the run's labels", k)
 		}
 	}
 }

@@ -592,15 +592,19 @@ func (dr *DocumentRun) selectBatch(ctx context.Context) error {
 
 // completeBatch is the retrain barrier: collect the batch's outcomes in
 // batch order, fold validated labels back into the training pool, retrain
-// the four classifiers, and select the next batch (or finish). Caller
-// holds dr.mu. Cancellation is governed by dr.runCtx, not the answer's
-// context: for session-owned runs the barrier is a commit point (runCtx is
-// Background), while the synchronous driver lets its own cancellation
-// reach the retrain and next batch selection.
+// the four classifiers, and select the next batch (or finish). The
+// retrain tells the models which labels are this batch's: the claims
+// labelled before it were in every model's previous fit, so a warm fit
+// passes over the batch's examples plus a replay sample, not the whole
+// pool. Caller holds dr.mu. Cancellation is governed by dr.runCtx, not the
+// answer's context: for session-owned runs the barrier is a commit point
+// (runCtx is Background), while the synchronous driver lets its own
+// cancellation reach the retrain and next batch selection.
 func (dr *DocumentRun) completeBatch() error {
 	if err := checkCancel(dr.runCtx); err != nil {
 		return err
 	}
+	seen := len(dr.labelled)
 	outcomes := make([]*Outcome, len(dr.batchIDs))
 	for i, id := range dr.batchIDs {
 		c := dr.remaining[id]
@@ -623,7 +627,7 @@ func (dr *DocumentRun) completeBatch() error {
 	// Retrain (Algorithm 1 line 20), fanning the four independent models
 	// out under the same parallelism knob as batch assessment.
 	if len(dr.labelled) > 0 {
-		if err := dr.e.train(dr.labelled, dr.vc.Parallelism); err != nil {
+		if err := dr.e.train(dr.labelled, seen, dr.vc.Parallelism); err != nil {
 			return err
 		}
 		obsRetrain()
