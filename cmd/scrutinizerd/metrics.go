@@ -98,7 +98,7 @@ func newDaemonMetrics(started time.Time) *daemonMetrics {
 		rounds: reg.NewCounter("scrutinizer_run_rounds_total",
 			"Batch-selection rounds executed (Algorithm 1 OptBatch)."),
 		retrains: reg.NewCounter("scrutinizer_model_retrains_total",
-			"Classifier retrains at batch barriers."),
+			"Classifier retrains fitted at batch barriers. A run's last barrier fits only once its models are read, so a one-batch run released unread counts none."),
 		batchScoreSize: reg.NewHistogram("scrutinizer_batch_scored_claims",
 			"Stale claims featurized and scored per batch-scoring round.",
 			obs.ExpBuckets(1, 2, 12)),
@@ -134,7 +134,7 @@ func newDaemonMetrics(started time.Time) *daemonMetrics {
 			"Feature-vector memo misses (process-wide)."),
 	}
 	fits := reg.NewCounterVec("scrutinizer_model_fits_total",
-		"Property classifiers fitted by retrains, by property kind and start (warm reuses the previous weights, cold refits from scratch).", "kind", "start")
+		"Property classifiers fitted by retrains, by property kind and start (warm reuses the previous weights, cold refits from scratch). Counts fits performed: a run's last barrier fits only once its models are read.", "kind", "start")
 	for _, k := range core.PropertyKinds() {
 		m.modelFits[k][0] = fits.With(k.String(), "cold")
 		m.modelFits[k][1] = fits.With(k.String(), "warm")

@@ -184,38 +184,23 @@ func New(cfg Config) *Classifier {
 // with Train on the same model; it is safe to run concurrently with the
 // scoring methods.
 func (c *Classifier) Clone() *Classifier {
-	cp := &Classifier{}
-	c.CloneInto(cp)
-	return cp
-}
-
-// CloneInto copies the model's trained state into dst, reusing dst's
-// existing weight/accumulator buffers and label map when their capacity
-// allows — the allocation-free complement of Clone for pooled per-run
-// engines that are re-primed from a snapshot on reuse. dst behaves exactly
-// like a fresh Clone afterwards (pinned by test); its scratch pool is kept
-// (stale-width buffers are filtered out by the length check in
-// getScratch). Like Clone, CloneInto must not run concurrently with Train
-// on either model.
-func (c *Classifier) CloneInto(dst *Classifier) {
-	dst.cfg = c.cfg
-	dst.labels = append(dst.labels[:0], c.labels...)
-	if dst.labelIdx == nil {
-		dst.labelIdx = make(map[string]int, len(c.labelIdx))
-	} else {
-		clear(dst.labelIdx)
+	cp := &Classifier{
+		cfg:      c.cfg,
+		labels:   append([]string(nil), c.labels...),
+		labelIdx: make(map[string]int, len(c.labelIdx)),
+		dim:      c.dim,
+		w:        append([]float64(nil), c.w...),
+		gsq:      append([]float64(nil), c.gsq...),
+		bias:     append([]float64(nil), c.bias...),
+		gsqB:     append([]float64(nil), c.gsqB...),
+		trained:  c.trained,
+		rounds:   c.rounds,
+		warm:     c.warm,
 	}
 	for l, i := range c.labelIdx {
-		dst.labelIdx[l] = i
+		cp.labelIdx[l] = i
 	}
-	dst.dim = c.dim
-	dst.w = append(dst.w[:0], c.w...)
-	dst.gsq = append(dst.gsq[:0], c.gsq...)
-	dst.bias = append(dst.bias[:0], c.bias...)
-	dst.gsqB = append(dst.gsqB[:0], c.gsqB...)
-	dst.trained = c.trained
-	dst.rounds = c.rounds
-	dst.warm = c.warm
+	return cp
 }
 
 // Labels returns the label vocabulary in first-seen order. Callers must not

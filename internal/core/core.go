@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/repro/scrutinizer/internal/claims"
 	"github.com/repro/scrutinizer/internal/classifier"
@@ -173,6 +174,23 @@ type Engine struct {
 
 	models map[PropertyKind]*classifier.Classifier
 	lib    *formula.Library
+
+	// sharedModels reports that models are a snapshot's classifiers,
+	// which are immutable: Spawn points a run's engine at them instead of
+	// copying, and the engine clones them on its first fit (copy on
+	// write), so a run that never refits never copies a weight.
+	sharedModels bool
+
+	// pending is the fit of a run's last retrain barrier, deferred
+	// because no later batch of that run reads it (see completeBatch).
+	// Its examples are already validated, so running it cannot fail.
+	// Every reader of the models settles it first (settle); Release,
+	// reprime and RestoreTrained drop it unread. fitMu serializes
+	// settling and guards pending; hasPending is the lock-free fast path
+	// the scoring hot path checks.
+	fitMu      sync.Mutex
+	hasPending atomic.Bool
+	pending    *modelFit
 
 	// qcache memoizes tentative execution per corpus generation (see
 	// QueryCache); fc caches everything derivable from a formula string
@@ -460,13 +478,20 @@ func (e *Engine) Config() Config { return e.cfg }
 // Library returns the formula library accumulated from training labels.
 func (e *Engine) Library() *formula.Library { return e.lib }
 
-// Model returns the classifier for a property kind.
-func (e *Engine) Model(kind PropertyKind) *classifier.Classifier { return e.models[kind] }
+// Model returns the classifier for a property kind, settling a deferred
+// final fit first. The classifier may be shared with the snapshot the
+// engine was spawned from: read and score it, never train it (train the
+// engine instead, which copies shared models before refitting them).
+func (e *Engine) Model(kind PropertyKind) *classifier.Classifier {
+	e.settle()
+	return e.models[kind]
+}
 
 // Generation returns the model generation: how many times retraining has
 // refit the classifiers. Cached per-claim assessments are valid for
 // exactly one generation; session front ends surface it as a progress /
-// health signal.
+// health signal. A deferred fit already counts (the barrier that deferred
+// it moved the generation), so reading it never forces the fit.
 func (e *Engine) Generation() uint64 {
 	e.assessMu.RLock()
 	defer e.assessMu.RUnlock()
@@ -498,29 +523,41 @@ func (e *Engine) Featurize(c *claims.Claim) textproc.Sparse {
 // superset of the previous fit's), the underlying classifier warm-starts
 // from its previous weights instead of refitting from scratch (see package
 // classifier); every claim counts as new, so a warm fit still passes over
-// the whole set. The four models train concurrently; see train.
+// the whole set. The four models train concurrently; see fit.
 func (e *Engine) Train(annotated []*claims.Claim) error {
-	return e.train(annotated, 0, DefaultParallelism())
+	f, err := e.newFit(annotated, 0, DefaultParallelism())
+	if err != nil {
+		return err
+	}
+	return e.fit(f)
 }
 
-// train is Train with the caller's split and an explicit fan-out.
-// annotated[:seen] are the claims of the models' previous fit and
-// annotated[seen:] the ones labelled since: Algorithm 1's retrain barrier
-// passes its batch's labels as new, so each warm fit costs O(batch) — new
-// examples plus a replay sample (classifier.TrainSplit). seen == 0 is the
-// full-pass retrain. The four models are independent (own weights, own
-// deterministic shuffle seed), so with parallelism > 1 they train
-// concurrently — on a multi-core machine this takes the per-batch
-// retraining of Algorithm 1 from the sum of the four training times down
-// to the slowest single model, which is the serial bottleneck of document
-// verification at paper scale. Verify threads its VerifyConfig.Parallelism
-// through here so a Parallelism=1 run is a truly sequential baseline. Each
-// model warm-starts on its own superset check, so one retrain can mix warm
-// and cold fits; every fitted model reports which through the observer's
-// ModelFit hook.
-func (e *Engine) train(annotated []*claims.Claim, seen, parallelism int) error {
+// modelFit is one retrain with its examples extracted and validated: the
+// per-kind training sets, how many of each set's leading examples the
+// models' previous fit already held, and the fan-out to fit with.
+type modelFit struct {
+	sets        map[PropertyKind][]classifier.Example
+	seen        map[PropertyKind]int
+	parallelism int
+	// barrier marks a batch barrier's retrain, which fires the observer's
+	// Retrain hook once fitted.
+	barrier bool
+}
+
+// newFit is the eager half of a retrain: it extracts every annotated
+// claim's training labels, rebuilds the formula library from them and
+// moves the model generation, leaving only the classifier fits themselves
+// (fit) to run. annotated[:seen] are the claims of the models' previous
+// fit and annotated[seen:] the ones labelled since: Algorithm 1's retrain
+// barrier passes its batch's labels as new, so each warm fit costs
+// O(batch) — new examples plus a replay sample (classifier.TrainSplit).
+// seen == 0 is the full-pass retrain. Every error a retrain can return
+// comes from here: the sets hold only non-empty labels, so fitting them
+// cannot fail. A pending fit settles first, since this one builds on it.
+func (e *Engine) newFit(annotated []*claims.Claim, seen, parallelism int) (*modelFit, error) {
+	e.settle()
 	sets := make(map[PropertyKind][]classifier.Example, 4)
-	e.lib = formula.NewLibrary()
+	lib := formula.NewLibrary()
 	add := func(cs []*claims.Claim) error {
 		for _, c := range cs {
 			if c == nil || c.Truth == nil {
@@ -542,13 +579,13 @@ func (e *Engine) train(annotated []*claims.Claim, seen, parallelism int) error {
 				if ent.err != nil {
 					return fmt.Errorf("core: claim %d has malformed formula %q: %w", c.ID, c.Truth.Formula, ent.err)
 				}
-				e.lib.AddKeyed(ent.canon, ent.f)
+				lib.AddKeyed(ent.canon, ent.f)
 			}
 		}
 		return nil
 	}
 	if err := add(annotated[:seen]); err != nil {
-		return err
+		return nil, err
 	}
 	// Each model's examples keep claim order, so its new ones are the
 	// suffix past the examples the earlier claims produced.
@@ -557,23 +594,47 @@ func (e *Engine) train(annotated []*claims.Claim, seen, parallelism int) error {
 		seenK[k] = len(set)
 	}
 	if err := add(annotated[seen:]); err != nil {
-		return err
+		return nil, err
+	}
+	e.lib = lib
+	if len(sets) > 0 {
+		// Model state is about to change: stamp a new generation so
+		// cached per-claim assessments recompute lazily on next use. Every
+		// assessment settles a deferred fit first, so none is computed
+		// under this generation from the models before the fit.
+		e.assessMu.Lock()
+		e.gen++
+		e.assessMu.Unlock()
+	}
+	return &modelFit{sets: sets, seen: seenK, parallelism: parallelism}, nil
+}
+
+// fit runs a retrain's classifier fits. The four models are independent
+// (own weights, own deterministic shuffle seed), so with parallelism > 1
+// they train concurrently — on a multi-core machine this takes the
+// per-batch retraining of Algorithm 1 from the sum of the four training
+// times down to the slowest single model, which is the serial bottleneck
+// of document verification at paper scale. Verify threads its
+// VerifyConfig.Parallelism through here so a Parallelism=1 run is a truly
+// sequential baseline. Each model warm-starts on its own superset check,
+// so one retrain can mix warm and cold fits; every fitted model reports
+// which through the observer's ModelFit hook. Models still shared with a
+// snapshot are cloned first.
+func (e *Engine) fit(f *modelFit) error {
+	if len(f.sets) > 0 && e.sharedModels {
+		for k, m := range e.models {
+			e.models[k] = m.Clone()
+		}
+		e.sharedModels = false
 	}
 	kinds := PropertyKinds()
 	errs := make([]error, len(kinds))
-	trainedAny := false
-	for _, k := range kinds {
-		if len(sets[k]) > 0 {
-			trainedAny = true
-			break
-		}
-	}
-	runPool(len(kinds), parallelism, func(i int) {
+	runPool(len(kinds), f.parallelism, func(i int) {
 		k := kinds[i]
-		if len(sets[k]) == 0 {
+		if len(f.sets[k]) == 0 {
 			return // stay untrained for this property (cold start)
 		}
-		if err := e.models[k].TrainSplit(sets[k], seenK[k]); err != nil {
+		if err := e.models[k].TrainSplit(f.sets[k], f.seen[k]); err != nil {
 			errs[i] = fmt.Errorf("core: training %s classifier: %w", k, err)
 		}
 	})
@@ -583,18 +644,48 @@ func (e *Engine) train(annotated []*claims.Claim, seen, parallelism int) error {
 		}
 	}
 	for _, k := range kinds {
-		if len(sets[k]) > 0 {
+		if len(f.sets[k]) > 0 {
 			obsModelFit(k, e.models[k].WarmStarted())
 		}
 	}
-	if trainedAny {
-		// Model state changed: stamp a new generation so cached per-claim
-		// assessments recompute lazily on next use.
-		e.assessMu.Lock()
-		e.gen++
-		e.assessMu.Unlock()
+	if f.barrier {
+		obsRetrain()
 	}
 	return nil
+}
+
+// deferFit parks a validated fit until the models are next read.
+func (e *Engine) deferFit(f *modelFit) {
+	e.fitMu.Lock()
+	e.pending = f
+	e.hasPending.Store(true)
+	e.fitMu.Unlock()
+}
+
+// settle runs a deferred fit, once, before its caller reads the models.
+// Concurrent callers wait for the one that runs it; with nothing pending
+// it costs one atomic load.
+func (e *Engine) settle() {
+	if !e.hasPending.Load() {
+		return
+	}
+	e.fitMu.Lock()
+	defer e.fitMu.Unlock()
+	if f := e.pending; f != nil {
+		if err := e.fit(f); err != nil {
+			panic(fmt.Sprintf("core: deferred fit of validated examples failed: %v", err))
+		}
+		e.pending = nil
+		e.hasPending.Store(false)
+	}
+}
+
+// dropFit discards a deferred fit unread.
+func (e *Engine) dropFit() {
+	e.fitMu.Lock()
+	e.pending = nil
+	e.hasPending.Store(false)
+	e.fitMu.Unlock()
 }
 
 // assess returns the claim's cached assessment, computing it when the
@@ -603,6 +694,7 @@ func (e *Engine) train(annotated []*claims.Claim, seen, parallelism int) error {
 // workers racing the same cold claim) is deterministic and harmless — the
 // last writer wins with an identical value.
 func (e *Engine) assess(c *claims.Claim) *assessment {
+	e.settle()
 	e.assessMu.RLock()
 	a, ok := e.assessed[c.ID]
 	gen := e.gen
@@ -658,6 +750,7 @@ func (e *Engine) assess(c *claims.Claim) *assessment {
 // accumulation order for the utility sum, same option values, same
 // BuildPlan inputs), pinned by the batch-vs-sequential equivalence tests.
 func (e *Engine) assessMany(cs []*claims.Claim, parallelism int) {
+	e.settle()
 	e.assessMu.RLock()
 	gen := e.gen
 	stale := make([]*claims.Claim, 0, len(cs))

@@ -38,11 +38,14 @@
 // # Pooled run engines
 //
 // A ModelSnapshot freezes an engine's trained state; Spawn turns it back
-// into a private engine that a verification run may retrain freely. Released
-// engines (Engine.Release) return to the snapshot's pool, and the next
-// Spawn re-primes one in place — classifier weights copy into the existing
-// buffers, per-run caches keep their capacity — so a service handling many
-// short runs allocates the engine machinery once, not per request.
+// into a private engine that a verification run may retrain freely. The
+// spawned engine shares the snapshot's classifiers until its first fit
+// copies them, and the fit of a run's last batch barrier waits for a
+// reader of the models, so a one-batch run released unread copies and
+// trains nothing. Released engines (Engine.Release) return to the
+// snapshot's pool, and the next Spawn re-primes one in place — per-run
+// caches keep their capacity — so a service handling many short runs
+// allocates the engine machinery once, not per request.
 //
 // # Parallelism
 //

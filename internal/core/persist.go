@@ -50,10 +50,11 @@ func (s *ModelSnapshot) EncodeModels() ([]byte, error) {
 }
 
 // RestoreTrained replaces the engine's trained state (classifiers, formula
-// library, generation) with a decoded EncodeModels blob. The engine keeps
-// its corpus, feature pipeline and caches — the caller builds it fresh over
-// the recovered corpus first. RestoreTrained must not race Train or any
-// scoring on the same engine; recovery calls it before the engine is shared.
+// library, generation) with a decoded EncodeModels blob, dropping a
+// deferred fit. The engine keeps its corpus, feature pipeline and caches —
+// the caller builds it fresh over the recovered corpus first.
+// RestoreTrained must not race Train or any scoring on the same engine;
+// recovery calls it before the engine is shared.
 func (e *Engine) RestoreTrained(data []byte) error {
 	var enc encodedModels
 	if err := json.Unmarshal(data, &enc); err != nil {
@@ -85,8 +86,10 @@ func (e *Engine) RestoreTrained(data []byte) error {
 	// Install atomically with respect to the generation counter. The
 	// assessment cache is untouched: recovery restores into engines that
 	// have not assessed anything yet.
+	e.dropFit()
 	e.assessMu.Lock()
 	e.models = models
+	e.sharedModels = false
 	e.lib = lib
 	e.gen = enc.Gen
 	e.assessMu.Unlock()

@@ -21,12 +21,18 @@ import (
 // engine, so any number of concurrent runs can start from one trained
 // state without racing each other's batch-boundary retraining.
 //
+// A spawned engine pays for model state only when it changes it: its
+// models start as the snapshot's own classifiers, which nothing trains,
+// and the engine clones them on its first fit (copy on write). A run whose
+// only retrain is its last barrier's defers that fit (see completeBatch),
+// so a one-batch run that is released unread never copies or trains a
+// weight.
+//
 // Spawned engines are pooled: Release returns a finished run's engine to
-// its snapshot, and the next Spawn re-primes it from the snapshot's model
-// state in place (classifier.CloneInto reuses the weight buffers, the
-// feature/assessment maps keep their capacity), so a service handling many
-// short runs against one trained verifier allocates the engine machinery
-// once instead of per request.
+// its snapshot, and the next Spawn re-primes it in place (the models
+// point back at the snapshot's, the feature/assessment maps keep their
+// capacity), so a service handling many short runs against one trained
+// verifier allocates the engine machinery once instead of per request.
 
 // ModelSnapshot is an immutable copy of an engine's trained model state.
 // It is safe for concurrent use: every Spawn derives an independent engine
@@ -52,10 +58,12 @@ type ModelSnapshot struct {
 }
 
 // Snapshot deep-copies the engine's trained state into an immutable
-// ModelSnapshot. It must not run concurrently with Train on the same
-// engine (the service layer serializes retraining against snapshotting);
-// it is safe against concurrent scoring.
+// ModelSnapshot, settling a deferred fit first. It must not run
+// concurrently with Train on the same engine (the service layer
+// serializes retraining against snapshotting); it is safe against
+// concurrent scoring.
 func (e *Engine) Snapshot() *ModelSnapshot {
+	e.settle()
 	s := &ModelSnapshot{
 		corpus:      e.corpus,
 		pipe:        e.pipe,
@@ -78,12 +86,13 @@ func (e *Engine) Snapshot() *ModelSnapshot {
 // Generation returns the model generation the snapshot was taken at.
 func (s *ModelSnapshot) Generation() uint64 { return s.gen }
 
-// Spawn builds a private engine from the snapshot: classifiers are deep
-// copies of the snapshot's (so the run's retraining mutates only the
-// spawned engine), the formula library is shared read-only until the first
-// retrain replaces it, and the feature / assessment caches start empty —
-// they are per-run state, keyed by claim ID, and distinct runs may verify
-// distinct documents whose claim IDs collide.
+// Spawn builds a private engine from the snapshot: its classifiers and
+// formula library are the snapshot's, shared read-only until the run's
+// first retrain copies the classifiers and replaces the library (so the
+// run's retraining mutates only the spawned engine), and the feature /
+// assessment caches start empty — they are per-run state, keyed by claim
+// ID, and distinct runs may verify distinct documents whose claim IDs
+// collide.
 //
 // Spawn prefers recycling an engine a previous run returned via Release,
 // re-priming it from the snapshot in place; the result is indistinguishable
@@ -96,31 +105,22 @@ func (s *ModelSnapshot) Spawn() *Engine {
 		return e
 	}
 	e := &Engine{
-		corpus:      s.corpus,
-		pipe:        s.pipe,
-		cfg:         s.cfg,
-		models:      make(map[PropertyKind]*classifier.Classifier, len(s.models)),
-		lib:         s.lib,
-		qcache:      s.qcache,
-		fc:          s.fc,
-		genOverride: s.genOverride,
-		featCache:   make(map[int]textproc.Sparse),
-		assessed:    make(map[int]*assessment),
-		gen:         s.gen,
-		origin:      s,
+		models:    make(map[PropertyKind]*classifier.Classifier, len(s.models)),
+		featCache: make(map[int]textproc.Sparse),
+		assessed:  make(map[int]*assessment),
 	}
-	for k, m := range s.models {
-		e.models[k] = m.Clone()
-	}
+	e.reprime(s)
 	return e
 }
 
 // reprime restores a pooled engine to the snapshot's trained state in
-// place: classifier weights copy into the engine's existing buffers, the
-// shared references (corpus, pipeline, caches, library) reset to the
-// snapshot's, and the per-run caches — cleared at Release time — keep
-// their map capacity for the next document.
+// place: a deferred fit is dropped, the models point back at the
+// snapshot's classifiers (copied on the next fit), the shared references
+// (corpus, pipeline, caches, library) reset to the snapshot's, and the
+// per-run caches — cleared at Release time — keep their map capacity for
+// the next document.
 func (e *Engine) reprime(s *ModelSnapshot) {
+	e.dropFit()
 	e.corpus = s.corpus
 	e.pipe = s.pipe
 	e.cfg = s.cfg
@@ -128,13 +128,11 @@ func (e *Engine) reprime(s *ModelSnapshot) {
 	e.qcache = s.qcache
 	e.fc = s.fc
 	e.genOverride = s.genOverride
+	clear(e.models)
 	for k, m := range s.models {
-		if dst, ok := e.models[k]; ok {
-			m.CloneInto(dst)
-		} else {
-			e.models[k] = m.Clone()
-		}
+		e.models[k] = m
 	}
+	e.sharedModels = true
 	e.gen = s.gen
 	e.seqAssess = false
 	e.origin = s
@@ -154,9 +152,13 @@ func (e *Engine) Release() {
 	e.origin = nil // double-release guard: second call no-ops
 	// Drop per-run state now (claim IDs collide across documents, and the
 	// features/assessments of a finished run are dead weight while pooled);
-	// the maps keep their buckets for the next run.
+	// the maps keep their buckets for the next run. A deferred final fit
+	// has no reader left, and the run's own model copies go with it: the
+	// next Spawn points the models back at the snapshot's.
+	e.dropFit()
 	clear(e.featCache)
 	clear(e.assessed)
+	clear(e.models)
 	s.spares.Put(e)
 }
 

@@ -132,7 +132,9 @@ func TestSnapshotGeneration(t *testing.T) {
 // model's first one warm-starts. (The first refits cold: the snapshot's
 // bootstrap labels are not in the run's labelled set.) The fits are read
 // through the observer's ModelFit hook, which must fire once per fitted
-// model per retrain.
+// model per retrain. The last barrier's fit waits for a reader: an unread
+// run retrains once per batch but the last, and reading a model after
+// the run completes the count.
 func TestSpawnedRunRetrainsWarm(t *testing.T) {
 	e, w := buildEngine(t, tinyWorld())
 	if err := e.Train(w.Document.Claims[:30]); err != nil {
@@ -164,10 +166,13 @@ func TestSpawnedRunRetrainsWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Batches < 3 || retrains != res.Batches-1 {
+		t.Fatalf("%d batches, %d barrier retrains before any read, want %d", res.Batches, retrains, res.Batches-1)
+	}
+	sp.Model(PropRelation)
 	SetObserver(nil)
-
-	if res.Batches < 3 || retrains != res.Batches {
-		t.Fatalf("%d batches, %d barrier retrains", res.Batches, retrains)
+	if retrains != res.Batches {
+		t.Fatalf("%d batches, %d barrier retrains after reading a model", res.Batches, retrains)
 	}
 	for _, k := range PropertyKinds() {
 		seq := fits[k]

@@ -468,6 +468,9 @@ func (e *Engine) StartDocument(ctx context.Context, doc *claims.Document, vc Ver
 		return nil, err
 	}
 	vc = vc.withDefaults()
+	// A new run starts from settled models: a previous run's deferred fit
+	// lands before this run's first batch selection reads them.
+	e.settle()
 	dr := &DocumentRun{
 		e:         e,
 		doc:       doc,
@@ -600,6 +603,14 @@ func (dr *DocumentRun) selectBatch(ctx context.Context) error {
 // answer's context: for session-owned runs the barrier is a commit point
 // (runCtx is Background), while the synchronous driver lets its own
 // cancellation reach the retrain and next batch selection.
+//
+// The barrier that empties the pool serves no next batch, so it runs only
+// the eager half of its retrain (label extraction, library rebuild,
+// generation bump; every error surfaces here) and defers the classifier
+// fits to the engine's first later reader of the models — an AfterBatch
+// observer, Model, Snapshot, a verification on the same engine. Those
+// readers see exactly the models an eager fit would have left; a run
+// released unread (the service's one-batch runs) never pays for them.
 func (dr *DocumentRun) completeBatch() error {
 	if err := checkCancel(dr.runCtx); err != nil {
 		return err
@@ -627,10 +638,16 @@ func (dr *DocumentRun) completeBatch() error {
 	// Retrain (Algorithm 1 line 20), fanning the four independent models
 	// out under the same parallelism knob as batch assessment.
 	if len(dr.labelled) > 0 {
-		if err := dr.e.train(dr.labelled, seen, dr.vc.Parallelism); err != nil {
+		f, err := dr.e.newFit(dr.labelled, seen, dr.vc.Parallelism)
+		if err != nil {
 			return err
 		}
-		obsRetrain()
+		f.barrier = true
+		if len(dr.remaining) == 0 {
+			dr.e.deferFit(f)
+		} else if err := dr.e.fit(f); err != nil {
+			return err
+		}
 	}
 	dr.res.Batches++
 	if dr.vc.AfterBatch != nil {

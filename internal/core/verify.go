@@ -177,7 +177,9 @@ type VerifyConfig struct {
 	// AfterBatch, when non-nil, observes progress after each batch
 	// (used by the simulation to sample accuracy curves). It is invoked
 	// synchronously at the retrain barrier and must not call back into
-	// the run that triggered it.
+	// the run that triggered it. Reading the engine's models from it
+	// (Engine.Model) settles the final batch's deferred fit, so an
+	// observer sees every batch's retrained models.
 	AfterBatch func(batch int, verified int, outcomes []*Outcome)
 }
 

@@ -397,10 +397,11 @@ func (r *Run) VerifyClaimWith(ctx context.Context, c *Claim, oracle Oracle) (*Ou
 
 // Close releases the run's private engine back to the verifier's snapshot
 // pool, where the next StartRun against the same trained state re-primes
-// it in place instead of allocating a fresh engine. Optional (a run that
-// is never closed is simply collected), safe to call more than once, and
-// terminal: the Run must not be used afterwards. Results and Outcomes
-// already returned stay valid.
+// it in place instead of allocating a fresh engine. The fit of the run's
+// last batch, deferred until something reads the engine's models, is
+// dropped unrun. Optional (a run that is never closed is simply
+// collected), safe to call more than once, and terminal: the Run must not
+// be used afterwards. Results and Outcomes already returned stay valid.
 func (r *Run) Close() {
 	if r == nil || r.engine == nil {
 		return
