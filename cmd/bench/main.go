@@ -7,7 +7,7 @@
 //	go run ./cmd/bench -benchtime 2s      # steadier numbers
 //	go run ./cmd/bench -bench 'Train' -pkg ./internal/classifier
 //	go run ./cmd/bench -out /tmp -date 2026-01-31
-//	go run ./cmd/bench -baseline BENCH_2026-08-08.json -max-ratio 2
+//	go run ./cmd/bench -baseline BENCH_2026-10-17.json -max-ratio 2
 //	go run ./cmd/bench -cpu 2          # multi-core pass -> BENCH_<date>.cpu2.json
 //
 // The default tracked set covers the numeric hot path (classifier training
@@ -26,6 +26,11 @@
 // deterministic, so the threshold can be much tighter than the timing
 // one). Benchmarks missing from the baseline are reported but do not fail
 // the gate, so new benchmarks can land before the baseline is refreshed.
+// The reverse does fail it: a baseline entry that the tracked set no
+// longer produces (a benchmark renamed or deleted) is printed by name, so
+// no tracked benchmark drops out of the gate silently — refresh the
+// baseline in the change that removes it. With -bench the run is a custom
+// subset, and missing baseline entries are only reported.
 // Ratios, not absolute numbers, keep the gate meaningful across machines
 // of similar class; the wide 2x timing threshold absorbs the remaining
 // machine-to-machine spread.
@@ -186,7 +191,8 @@ func main() {
 	}
 
 	if *baseline != "" {
-		if err := gateAgainstBaseline(*baseline, tracked, rep.Benchmarks, *benchtime, *cpuN, *maxRatio, *maxAllocRatio); err != nil {
+		requireAll := *benchRe == ""
+		if err := gateAgainstBaseline(*baseline, tracked, rep.Benchmarks, requireAll, *benchtime, *cpuN, *maxRatio, *maxAllocRatio); err != nil {
 			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -214,8 +220,9 @@ func (r regression) String() string {
 // can slow a microbenchmark past 2x, but a genuine regression reproduces;
 // only benchmarks bad in both passes fail the gate. Benchmarks absent from
 // the baseline are reported and skipped (they are new; the next baseline
-// refresh covers them).
-func gateAgainstBaseline(path string, tracked []trackedBench, fresh []result, benchtime string, cpuN int, maxRatio, maxAllocRatio float64) error {
+// refresh covers them). With requireAll, baseline entries absent from the
+// fresh results fail the gate too.
+func gateAgainstBaseline(path string, tracked []trackedBench, fresh []result, requireAll bool, benchtime string, cpuN int, maxRatio, maxAllocRatio float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading baseline: %w", err)
@@ -227,6 +234,13 @@ func gateAgainstBaseline(path string, tracked []trackedBench, fresh []result, be
 	baseBy := make(map[string]result, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseBy[b.Name] = b
+	}
+	missing := missingFrom(base.Benchmarks, fresh)
+	for _, name := range missing {
+		fmt.Printf("  (baseline benchmark %s did not run)\n", name)
+	}
+	if !requireAll {
+		missing = nil
 	}
 	regressions := findRegressions(fresh, baseBy, maxRatio, maxAllocRatio)
 	if len(regressions) > 0 {
@@ -276,16 +290,44 @@ func gateAgainstBaseline(path string, tracked []trackedBench, fresh []result, be
 		}
 		regressions = findRegressions(confirmed, baseBy, maxRatio, maxAllocRatio)
 	}
-	if len(regressions) > 0 {
-		msg := fmt.Sprintf("%d measurement(s) regressed vs %s (limits: %.1fx ns/op, %.1fx allocs/op):",
-			len(regressions), path, maxRatio, maxAllocRatio)
-		for _, r := range regressions {
-			msg += "\n  " + r.String()
+	if len(regressions) > 0 || len(missing) > 0 {
+		var msg strings.Builder
+		if len(regressions) > 0 {
+			fmt.Fprintf(&msg, "%d measurement(s) regressed vs %s (limits: %.1fx ns/op, %.1fx allocs/op):",
+				len(regressions), path, maxRatio, maxAllocRatio)
+			for _, r := range regressions {
+				msg.WriteString("\n  " + r.String())
+			}
 		}
-		return errors.New(msg)
+		if len(missing) > 0 {
+			if msg.Len() > 0 {
+				msg.WriteString("\n")
+			}
+			fmt.Fprintf(&msg, "%d benchmark(s) of %s did not run (renamed or deleted: refresh the baseline):", len(missing), path)
+			for _, name := range missing {
+				msg.WriteString("\n  " + name)
+			}
+		}
+		return errors.New(msg.String())
 	}
 	fmt.Printf("baseline gate passed: within %.1fx ns/op and %.1fx allocs/op of %s\n", maxRatio, maxAllocRatio, path)
 	return nil
+}
+
+// missingFrom lists, in baseline order, the baseline benchmarks absent
+// from the fresh results.
+func missingFrom(base, fresh []result) []string {
+	ran := make(map[string]bool, len(fresh))
+	for _, b := range fresh {
+		ran[b.Name] = true
+	}
+	var out []string
+	for _, b := range base {
+		if !ran[b.Name] {
+			out = append(out, b.Name)
+		}
+	}
+	return out
 }
 
 // findRegressions compares fresh results against the baseline on ns/op and

@@ -20,7 +20,7 @@ import (
 
 // recoveryTestWorld keeps replay cheap: the crashed journal is replayed on
 // every restart.
-func recoveryTestWorld(t *testing.T) *scrutinizer.World {
+func recoveryTestWorld(t testing.TB) *scrutinizer.World {
 	t.Helper()
 	cfg := scrutinizer.SmallWorld()
 	cfg.NumClaims = 16
@@ -33,7 +33,7 @@ func recoveryTestWorld(t *testing.T) *scrutinizer.World {
 }
 
 // storedServer builds a server over st (nil = ephemeral) and serves it.
-func storedServer(t *testing.T, w *scrutinizer.World, st scrutinizer.Store) (*server, *httptest.Server) {
+func storedServer(t testing.TB, w *scrutinizer.World, st scrutinizer.Store) (*server, *httptest.Server) {
 	t.Helper()
 	s, err := newServer(w.Corpus, serverConfig{parallel: 4, sessionTTL: time.Hour}, st)
 	if err != nil {
@@ -227,10 +227,23 @@ func TestRecoveryCrashMidWriteHTTP(t *testing.T) {
 	}
 }
 
+// parkLegacyBlob checks that creating verifier vid parked no model
+// snapshot, then parks one under it the way older builds did, so the
+// delete paths can be seen to clear it.
+func parkLegacyBlob(t *testing.T, st scrutinizer.Store, vid string) {
+	t.Helper()
+	if n := st.Stats().Snapshots; n != 0 {
+		t.Fatalf("creating a verifier parked %d model snapshots, want none", n)
+	}
+	if err := st.SaveSnapshot("verifier", vid, []byte(`{"version":1}`)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoveryCorpusDeleteLeavesNoOrphans: DELETE /v1/corpora/{id} cascades
-// into the persistence layer — the dropped verifiers' model snapshots are
-// deleted and a restart materializes nothing of the corpus, its relations
-// or its verifiers.
+// into the persistence layer — model blobs an older build parked for the
+// dropped verifiers are deleted and a restart materializes nothing of the
+// corpus, its relations or its verifiers.
 func TestRecoveryCorpusDeleteLeavesNoOrphans(t *testing.T) {
 	w := recoveryTestWorld(t)
 	mem := scrutinizer.NewMemoryStore()
@@ -260,9 +273,7 @@ func TestRecoveryCorpusDeleteLeavesNoOrphans(t *testing.T) {
 	}
 	var created verifierResponse
 	decodeJSON(t, resp, &created)
-	if mem.Stats().Snapshots != 1 {
-		t.Fatalf("verifier creation should park one model snapshot: %+v", mem.Stats())
-	}
+	parkLegacyBlob(t, mem, created.ID)
 
 	if resp := do(t, "DELETE", ts.URL+"/v1/corpora/tmp", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete corpus: status %d", resp.StatusCode)
@@ -292,16 +303,15 @@ func TestRecoveryCorpusDeleteLeavesNoOrphans(t *testing.T) {
 }
 
 // TestRecoveryVerifierDeletePersisted: DELETE /v1/verifiers/{id} removes
-// the model snapshot and the verifier stays gone across a restart.
+// any model blob an older build parked for it, and the verifier stays gone
+// across a restart.
 func TestRecoveryVerifierDeletePersisted(t *testing.T) {
 	w := recoveryTestWorld(t)
 	mem := scrutinizer.NewMemoryStore()
 	_, ts := storedServer(t, w, mem)
 
 	vid := createVerifier(t, ts.URL, w)
-	if mem.Stats().Snapshots != 1 {
-		t.Fatalf("expected one parked snapshot: %+v", mem.Stats())
-	}
+	parkLegacyBlob(t, mem, vid)
 	if resp := do(t, "DELETE", ts.URL+"/v1/verifiers/"+vid, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete verifier: status %d", resp.StatusCode)
 	} else {

@@ -464,6 +464,8 @@ func TestV1RejectsBadInput(t *testing.T) {
 		{"verifier unknown corpus", "POST", "/v1/corpora/nope/verifiers", docJSON(t, w.Document), http.StatusNotFound},
 		{"verifier bad json", "POST", "/v1/corpora/default/verifiers", []byte("{nope"), http.StatusBadRequest},
 		{"verifier empty doc", "POST", "/v1/corpora/default/verifiers", []byte(`{}`), http.StatusUnprocessableEntity},
+		{"verifier huge embedding", "POST", "/v1/corpora/default/verifiers", mustJSON(t, map[string]any{
+			"training": json.RawMessage(docJSON(t, w.Document)), "embedding_dim": 1 << 40}), http.StatusUnprocessableEntity},
 		{"run unknown verifier", "POST", "/v1/verifiers/v999/runs", docJSON(t, w.Document), http.StatusNotFound},
 		{"run bad json", "POST", "/v1/verifiers/" + info.ID + "/runs", []byte("{nope"), http.StatusBadRequest},
 		{"run bad mode", "POST", "/v1/verifiers/" + info.ID + "/runs", mustJSON(t, map[string]any{

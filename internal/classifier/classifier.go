@@ -57,10 +57,11 @@
 // held-out accuracy than the full pass (mean of 20 seeds), against 0.4
 // points for the form kept here. A retrain costs O(batch) rather than
 // O(labelled set). Newness is never inferred from the model's own
-// history: a model restored from a snapshot, or retrained on a different
-// split, has seen examples the caller's set does not hold. Cold
-// fits ignore the split and pass over the full set, and Train — TrainSplit
-// with nothing split off — is the full-pass retrain unchanged.
+// history: a spawned run's model, copied from its verifier's, or one
+// retrained on a different split, has seen examples the caller's set does
+// not hold. Cold fits ignore the split and pass over the full set, and
+// Train — TrainSplit with nothing split off — is the full-pass retrain
+// unchanged.
 //
 // # Batch scoring
 //

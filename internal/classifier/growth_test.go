@@ -96,7 +96,7 @@ func trainGrowing(t *testing.T, c *Classifier, set []Example, from, to, step int
 
 // TestGrowingRetrainDeterministic: a growing-vocabulary sequence, full-pass
 // or replay-sampled, yields bit-identical probabilities when run twice,
-// and when the model is exported and restored through JSON mid-sequence.
+// and when the model is cloned mid-sequence and the clone trains on.
 func TestGrowingRetrainDeterministic(t *testing.T) {
 	const step = 20
 	set := growingSet(200, step, 3, 30, 8, 5)
@@ -110,26 +110,15 @@ func TestGrowingRetrainDeterministic(t *testing.T) {
 
 			mid := New(Config{Seed: 6})
 			trainGrowing(t, mid, set, step, 120, step, split)
-			raw, err := json.Marshal(mid.State())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st State
-			if err := json.Unmarshal(raw, &st); err != nil {
-				t.Fatal(err)
-			}
-			restored, err := FromState(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trainGrowing(t, restored, set, 120, end, step, split)
+			cloned := mid.Clone()
+			trainGrowing(t, cloned, set, 120, end, step, split)
 
 			if a.NumLabels() != 30 {
 				t.Fatalf("final vocabulary has %d labels, want 30", a.NumLabels())
 			}
 			for i, ex := range set[:40] {
 				pa := a.Probs(ex.Features)
-				for name, other := range map[string]*Classifier{"rerun": b, "restored": restored} {
+				for name, other := range map[string]*Classifier{"rerun": b, "cloned": cloned} {
 					po := other.Probs(ex.Features)
 					for j := range pa {
 						if pa[j] != po[j] {
@@ -248,6 +237,29 @@ func TestWarmFullPassMatchesRecorded(t *testing.T) {
 		if !reflect.DeepEqual(c.State(), want) {
 			t.Errorf("%s: state differs from the recorded full-pass state", name)
 		}
+	}
+}
+
+// TestTrainIgnoresTrainedCount: a full-pass fit depends on the model's
+// weights and vocabulary, not on how many examples it was last fitted on.
+func TestTrainIgnoresTrainedCount(t *testing.T) {
+	set := pinnedFixture()
+	a := New(Config{Seed: 5})
+	if err := a.Train(set[:40]); err != nil {
+		t.Fatal(err)
+	}
+	b := a.Clone()
+	b.trained = 1
+	for _, c := range []*Classifier{a, b} {
+		if err := c.Train(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !a.WarmStarted() || !b.WarmStarted() {
+		t.Fatal("the full pass went cold")
+	}
+	if !reflect.DeepEqual(a.State(), b.State()) {
+		t.Fatal("the full pass depends on the model's trained count")
 	}
 }
 

@@ -1,13 +1,11 @@
 package classifier
 
-import "fmt"
-
-// State is the serializable form of a trained classifier: everything Train
+// State is a comparable copy of a trained classifier: everything Train
 // mutates, with the dense matrices exported as flat slices in the same
-// feature-major layout the model scores from. Round-tripping through State
-// is exact — float64 values survive JSON encoding bit-for-bit in Go — so a
-// restored model scores identically to the original and its next warm-start
-// retrain continues the same deterministic shuffle stream (Rounds seeds it).
+// feature-major layout the model scores from. Two models with equal States
+// score identically and continue the same deterministic shuffle stream on
+// their next warm-start retrain (Rounds seeds it). The equivalence tests
+// compare and digest models through it, including those of package core.
 type State struct {
 	Config  Config    `json:"config"`
 	Labels  []string  `json:"labels,omitempty"`
@@ -36,45 +34,4 @@ func (c *Classifier) State() State {
 		Rounds:  c.rounds,
 		Warm:    c.warm,
 	}
-}
-
-// FromState rebuilds a classifier from an exported State. The stored Config
-// already passed through the defaulting of New, so it is installed verbatim.
-// Matrix shapes are validated against Dim and the label count; a mismatched
-// state (a truncated or hand-edited snapshot) is rejected rather than
-// producing a model that scores out of bounds.
-func FromState(st State) (*Classifier, error) {
-	nL := len(st.Labels)
-	if len(st.W) != st.Dim*nL || len(st.Gsq) != st.Dim*nL {
-		return nil, fmt.Errorf("classifier: state weight matrix is %dx%d values, dim %d x %d labels", len(st.W), len(st.Gsq), st.Dim, nL)
-	}
-	if len(st.Bias) != nL || len(st.GsqB) != nL {
-		return nil, fmt.Errorf("classifier: state bias has %d values for %d labels", len(st.Bias), nL)
-	}
-	if st.Dim < 0 || st.Trained < 0 || st.Rounds < 0 {
-		return nil, fmt.Errorf("classifier: negative state counters")
-	}
-	c := &Classifier{
-		cfg:      st.Config,
-		labels:   append([]string(nil), st.Labels...),
-		labelIdx: make(map[string]int, nL),
-		dim:      st.Dim,
-		w:        append([]float64(nil), st.W...),
-		gsq:      append([]float64(nil), st.Gsq...),
-		bias:     append([]float64(nil), st.Bias...),
-		gsqB:     append([]float64(nil), st.GsqB...),
-		trained:  st.Trained,
-		rounds:   st.Rounds,
-		warm:     st.Warm,
-	}
-	for i, l := range st.Labels {
-		if l == "" {
-			return nil, fmt.Errorf("classifier: empty label at index %d", i)
-		}
-		if _, dup := c.labelIdx[l]; dup {
-			return nil, fmt.Errorf("classifier: duplicate label %q in state", l)
-		}
-		c.labelIdx[l] = i
-	}
-	return c, nil
 }

@@ -184,10 +184,10 @@ type Engine struct {
 	// pending is the fit of a run's last retrain barrier, deferred
 	// because no later batch of that run reads it (see completeBatch).
 	// Its examples are already validated, so running it cannot fail.
-	// Every reader of the models settles it first (settle); Release,
-	// reprime and RestoreTrained drop it unread. fitMu serializes
-	// settling and guards pending; hasPending is the lock-free fast path
-	// the scoring hot path checks.
+	// Every reader of the models settles it first (settle); Release and
+	// reprime drop it unread. fitMu serializes settling and guards
+	// pending; hasPending is the lock-free fast path the scoring hot path
+	// checks.
 	fitMu      sync.Mutex
 	hasPending atomic.Bool
 	pending    *modelFit

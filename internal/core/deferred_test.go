@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/repro/scrutinizer/internal/classifier"
 	"github.com/repro/scrutinizer/internal/crowd"
 	"github.com/repro/scrutinizer/internal/planner"
 	"github.com/repro/scrutinizer/internal/worldgen"
@@ -40,8 +41,42 @@ func finalFitRun(t testing.TB) (*Engine, *worldgen.World) {
 	return sp, w
 }
 
+// encodedModels is the JSON form of a snapshot's trained state that the
+// model digests hash: the generation, each model's State, and the formula
+// library's keys in insertion order with their counts. Map keys encode
+// sorted, so equal states encode to equal bytes. Version is constant; it
+// keeps the recorded digests' bytes stable.
+type encodedModels struct {
+	Version  int                         `json:"version"`
+	Gen      uint64                      `json:"gen"`
+	Models   map[string]classifier.State `json:"models,omitempty"`
+	Formulas []string                    `json:"formulas,omitempty"`
+	Counts   []int                       `json:"formula_counts,omitempty"`
+}
+
+// encodeModels serializes a snapshot's trained state as encodedModels.
+func encodeModels(t testing.TB, s *ModelSnapshot) []byte {
+	t.Helper()
+	enc := encodedModels{Version: 1, Gen: s.gen, Models: make(map[string]classifier.State, len(s.models))}
+	for kind, m := range s.models {
+		enc.Models[kind.String()] = m.State()
+	}
+	if s.lib != nil {
+		enc.Formulas = append([]string(nil), s.lib.Keys()...)
+		enc.Counts = make([]int, len(enc.Formulas))
+		for i, key := range enc.Formulas {
+			enc.Counts[i] = s.lib.Count(key)
+		}
+	}
+	data, err := json.Marshal(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // modelDigest pins an engine's trained state compactly: the generation,
-// the SHA-256 of its snapshot's EncodeModels bytes and of each model's
+// the SHA-256 of its snapshot's encodeModels bytes and of each model's
 // JSON-encoded State.
 type modelDigest struct {
 	Generation uint64            `json:"generation"`
@@ -52,10 +87,7 @@ type modelDigest struct {
 // digestOf digests a snapshot's trained state.
 func digestOf(t testing.TB, s *ModelSnapshot) modelDigest {
 	t.Helper()
-	blob, err := s.EncodeModels()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := encodeModels(t, s)
 	d := modelDigest{Generation: s.Generation(), Models: sha256Hex(blob), States: make(map[string]string, 4)}
 	for _, k := range PropertyKinds() {
 		st, err := json.Marshal(s.models[k].State())
@@ -104,7 +136,7 @@ func countRetrains(t *testing.T) (retrains, fits *atomic.Int64) {
 // TestDeferredFitMatchesRecorded: the run's last barrier defers its fit,
 // and whichever reader settles it — Model, Snapshot or a second
 // StartDocument on the engine — the models, their States and the
-// EncodeModels bytes equal the recorded eager barrier's bit for bit.
+// encodeModels bytes equal the recorded eager barrier's bit for bit.
 func TestDeferredFitMatchesRecorded(t *testing.T) {
 	want := recordedFinalFit(t)
 	for name, read := range map[string]func(*Engine, *worldgen.World){
@@ -243,10 +275,7 @@ func TestCopyOnWriteIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := e.Snapshot()
-	before, err := snap.EncodeModels()
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := encodeModels(t, snap)
 	type scored struct {
 		cost, utility float64
 		props         []planner.Property
@@ -290,10 +319,7 @@ func TestCopyOnWriteIsolation(t *testing.T) {
 			t.Fatalf("pass %d: the scoring sibling's assessments moved while the other trained", i)
 		}
 	}
-	after, err := snap.EncodeModels()
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := encodeModels(t, snap)
 	if string(after) != string(before) {
 		t.Fatal("training a spawned engine changed its snapshot")
 	}

@@ -248,18 +248,11 @@ func TestSpawnedRunFitsEveryRunExample(t *testing.T) {
 		t.Fatal("no model warm-started on more run labels than its bootstrap set")
 	}
 
-	// The reference models forget how many examples they were fitted on:
-	// a full-pass fit must not depend on that count.
+	// The reference is a full pass over the run's labels from the
+	// snapshot's models. That a full pass ignores how many examples a
+	// model was last fitted on is pinned in package classifier
+	// (TestTrainIgnoresTrainedCount).
 	ref := snap.Spawn()
-	for _, k := range PropertyKinds() {
-		st := ref.Model(k).State()
-		st.Trained = 1
-		m, err := classifier.FromState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.models[k] = m
-	}
 	if err := ref.Train(labelled); err != nil {
 		t.Fatal(err)
 	}

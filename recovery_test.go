@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,11 +91,31 @@ func mustEqualReports(t *testing.T, label string, want, got SessionReport) {
 	}
 }
 
+// batchRun verifies doc in one batch run of v.
+func batchRun(t *testing.T, v *Verifier, doc *Document) *Result {
+	t.Helper()
+	run, err := v.StartRun(context.Background(), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	team, err := v.NewTeam(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestRecoveryRoundTrip is the core harness: drive a corpus + verifier +
 // interactive session partway, recover a fresh service from the journal,
 // and assert the recovered registry is bit-identical to the uninterrupted
 // one — same session state, same remaining walkthrough, same batch-run
-// verdicts from the recovered verifier.
+// verdicts from the verifier that recovery retrained from its journaled
+// training document. Creating the verifier parks no model snapshot: the
+// journal is all recovery reads.
 func TestRecoveryRoundTrip(t *testing.T) {
 	w := recoveryWorld(t)
 	docA, docB := splitWorldDoc(w)
@@ -128,8 +149,8 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	if stats.Corpora != 1 || stats.Verifiers != 1 || stats.Sessions != 1 || stats.SessionsSkipped != 0 {
 		t.Fatalf("recovery stats: %+v", stats)
 	}
-	if stats.VerifiersFromSnapshot != 1 || stats.VerifiersRetrained != 0 {
-		t.Fatalf("verifier should restore from its model snapshot: %+v", stats)
+	if n := st.Stats().Snapshots; n != 0 {
+		t.Fatalf("creating a verifier parked %d model snapshots, want none", n)
 	}
 
 	sess2, ok := mgr2.Get(sess.ID())
@@ -155,57 +176,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	driveToCompletion(t, sess2)
 	mustEqualReports(t, "session after recovery", sess.Report(), sess2.Report())
 
-	// And the recovered verifier verifies a second document bit-identically.
-	v2, ok := svc2.Verifier(v.ID())
-	if !ok {
-		t.Fatal("verifier not recovered")
-	}
-	batch := func(vv *Verifier) *Result {
-		run, err := vv.StartRun(context.Background(), docB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		team, err := vv.NewTeam(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	mustEqualResults(t, "batch run after recovery", batch(v), batch(v2))
-}
-
-// TestRecoveryRetrainFallback pins the snapshot-less path: when no model
-// snapshot survives (here: a store whose journal was copied without blobs),
-// the verifier is deterministically retrained from the journaled training
-// document and still verifies bit-identically.
-func TestRecoveryRetrainFallback(t *testing.T) {
-	w := recoveryWorld(t)
-	_, docB := splitWorldDoc(w)
-	st := NewMemoryStore()
-	svc := attachedService(t, st, nil)
-	if _, err := svc.AddCorpus("world", w.Corpus); err != nil {
-		t.Fatal(err)
-	}
-	v, err := svc.CreateVerifier("world", w.Document, Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Journal only, no snapshots: CloneWithPrefix copies every record and
-	// drops the blobs.
-	bare := st.CloneWithPrefix(int(st.Stats().Records))
-	svc2 := NewService()
-	stats, err := svc2.Recover(bare, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.VerifiersRetrained != 1 || stats.VerifiersFromSnapshot != 0 {
-		t.Fatalf("expected retrain fallback: %+v", stats)
-	}
+	// And the retrained verifier verifies a second document bit-identically.
 	v2, ok := svc2.Verifier(v.ID())
 	if !ok {
 		t.Fatal("verifier not recovered")
@@ -213,22 +184,95 @@ func TestRecoveryRetrainFallback(t *testing.T) {
 	if v2.TrainedOn() != v.TrainedOn() {
 		t.Fatalf("trained_on %d vs %d", v2.TrainedOn(), v.TrainedOn())
 	}
-	batch := func(vv *Verifier) *Result {
-		run, err := vv.StartRun(context.Background(), docB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		team, err := vv.NewTeam(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	mustEqualResults(t, "batch run after recovery", batchRun(t, v, docB), batchRun(t, v2, docB))
+}
+
+// legacyModelBlob is a verifier model blob in the shape older builds
+// parked through SaveSnapshot: JSON-encoded classifier states and formula
+// library. Its one model is deliberately wrong, so a reader that restored
+// from it would verify differently from a retrained verifier.
+const legacyModelBlob = `{"version":1,"gen":1,"models":{"relation":{"config":{},"labels":["x"],"dim":1,"w":[1],"gsq":[1],"bias":[0],"gsq_b":[0],"trained":1,"rounds":1}},"formulas":["A1"],"formula_counts":[1]}`
+
+// loadCountingStore counts snapshot reads.
+type loadCountingStore struct {
+	Store
+	loads atomic.Int64
+}
+
+func (s *loadCountingStore) LoadSnapshot(kind, id string) ([]byte, error) {
+	s.loads.Add(1)
+	return s.Store.LoadSnapshot(kind, id)
+}
+
+// TestRecoveryIgnoresLegacySnapshot is the upgrade path: a store that
+// holds a verifier model blob an older build parked boots without reading
+// it, verifies and finishes sessions exactly like a journal-only boot, and
+// deleting the verifier removes the blob.
+func TestRecoveryIgnoresLegacySnapshot(t *testing.T) {
+	w := recoveryWorld(t)
+	docA, docB := splitWorldDoc(w)
+	st := NewMemoryStore()
+	mgr := NewSessionManager(0, 0)
+	svc := attachedService(t, st, mgr)
+	if _, err := svc.AddCorpus("world", w.Corpus); err != nil {
+		t.Fatal(err)
 	}
-	mustEqualResults(t, "retrained verifier", batch(v), batch(v2))
+	v, err := svc.CreateVerifier("world", w.Document, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := v.StartSession(context.Background(), mgr, docA, SessionOptions{Verify: VerifyOptions{BatchSize: 6, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		answerNext(t, sess)
+	}
+	// The journal-only copy drops blobs; the legacy store gains one.
+	bare := st.CloneWithPrefix(int(st.Stats().Records))
+	if err := st.SaveSnapshot("verifier", v.ID(), []byte(legacyModelBlob)); err != nil {
+		t.Fatal(err)
+	}
+
+	boot := func(from Store) (*Verifier, *Session, *Service) {
+		t.Helper()
+		mgr := NewSessionManager(0, 0)
+		svc := NewService()
+		stats, err := svc.Recover(from, mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Verifiers != 1 || stats.Sessions != 1 {
+			t.Fatalf("recovery stats: %+v", stats)
+		}
+		rv, ok := svc.Verifier(v.ID())
+		if !ok {
+			t.Fatal("verifier not recovered")
+		}
+		rs, ok := mgr.Get(sess.ID())
+		if !ok {
+			t.Fatal("session not recovered")
+		}
+		return rv, rs, svc
+	}
+	legacy := &loadCountingStore{Store: st}
+	vLegacy, sessLegacy, svcLegacy := boot(legacy)
+	if n := legacy.loads.Load(); n != 0 {
+		t.Fatalf("Recover read %d snapshot blobs, want none", n)
+	}
+	vBare, sessBare, _ := boot(bare)
+
+	mustEqualResults(t, "legacy-store boot vs journal-only boot", batchRun(t, vBare, docB), batchRun(t, vLegacy, docB))
+	driveToCompletion(t, sessLegacy)
+	driveToCompletion(t, sessBare)
+	mustEqualReports(t, "legacy-store session vs journal-only session", sessBare.Report(), sessLegacy.Report())
+
+	if ok, err := svcLegacy.RemoveVerifier(v.ID()); err != nil || !ok {
+		t.Fatalf("RemoveVerifier: ok=%v err=%v", ok, err)
+	}
+	if n := st.Stats().Snapshots; n != 0 {
+		t.Fatalf("deleting the verifier left %d snapshot blobs", n)
+	}
 }
 
 // registrySummary flattens the recoverable state into comparable strings:

@@ -149,7 +149,7 @@ type Options struct {
 	Tolerance float64
 	// TopK is the per-property candidate count (default 10).
 	TopK int
-	// EmbeddingDim sizes the word embeddings (default 32).
+	// EmbeddingDim sizes the word embeddings (default 32, at most 1024).
 	EmbeddingDim int
 	// Seed drives all randomised components.
 	Seed int64

@@ -88,6 +88,11 @@ func NewVerifier(corpus *Corpus, training *Document, opts Options) (*Verifier, e
 	return newVerifier(corpus, training, opts, true)
 }
 
+// maxEmbeddingDim bounds Options.EmbeddingDim. The embedding table holds
+// one vector per vocabulary word, so an unbounded dimension from a request
+// body could exhaust memory before training starts.
+const maxEmbeddingDim = 1024
+
 // newVerifier is NewVerifier with the initial classifier fit optional:
 // System constructs its verifier untrained so New cold-starts (training
 // happens through System.Train or at run-level batch barriers).
@@ -104,6 +109,9 @@ func newVerifier(corpus *Corpus, training *Document, opts Options, pretrain bool
 	dim := opts.EmbeddingDim
 	if dim <= 0 {
 		dim = 32
+	}
+	if dim > maxEmbeddingDim {
+		return nil, fmt.Errorf("scrutinizer: embedding dimension %d exceeds %d", dim, maxEmbeddingDim)
 	}
 	var sentences, texts []string
 	for _, c := range training.Claims {
@@ -607,10 +615,10 @@ func (s *Service) DropRelation(corpusID, name string) (bool, error) {
 // RemoveCorpus drops a corpus and every verifier bound to it, reporting
 // whether the corpus was registered. Live runs and sessions keep working
 // on their spawned engines; they just can no longer be recreated. With a
-// store attached the cascade is journaled — and the dropped verifiers'
-// model snapshots deleted — before the call returns, so recovery never
-// resurrects any of it; a failed journal append rolls the removal back and
-// surfaces as ErrJournal.
+// store attached the cascade is journaled — and model blobs older builds
+// parked for the dropped verifiers deleted — before the call returns, so
+// recovery never resurrects any of it; a failed journal append rolls the
+// removal back and surfaces as ErrJournal.
 func (s *Service) RemoveCorpus(id string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -636,8 +644,9 @@ func (s *Service) RemoveCorpus(id string) (bool, error) {
 	}
 	if s.store != nil {
 		for _, v := range dropped {
-			// Best-effort: a surviving snapshot is unreachable garbage,
-			// not a correctness problem — replay has no verifier for it.
+			// Best-effort removal of a model blob an older build parked:
+			// a surviving one is unreachable garbage, not a correctness
+			// problem — replay has no verifier for it.
 			_ = s.store.DeleteSnapshot(snapshotKind, v.id)
 		}
 	}
@@ -662,8 +671,8 @@ func (s *Service) CreateVerifier(corpusID string, training *Document, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	// The journal record carries the training document and options — the
-	// deterministic-retrain fallback when no model snapshot survives.
+	// The journal record carries the training document and options, from
+	// which recovery deterministically retrains the verifier.
 	trainingJSON, err := encodeDocument(training)
 	if err != nil {
 		return nil, err
@@ -700,9 +709,9 @@ func (s *Service) CreateVerifier(corpusID string, training *Document, opts Optio
 		return nil, err
 	}
 	s.mu.Unlock()
-	// Park the trained model as a boot-time optimization. Best-effort:
-	// the journaled training document already guarantees recovery.
-	_ = s.saveVerifierSnapshot(v)
+	// Derive the run snapshot now, so the request that trains the
+	// verifier pays for cloning its models rather than its first run.
+	v.snapshot()
 	return v, nil
 }
 
@@ -716,8 +725,8 @@ func (s *Service) Verifier(id string) (*Verifier, bool) {
 
 // RemoveVerifier drops a verifier, reporting whether it was registered.
 // With a store attached the delete is journaled (rolled back on append
-// failure, surfaced as ErrJournal) and the verifier's model snapshot is
-// deleted, so recovery leaves no orphaned state behind.
+// failure, surfaced as ErrJournal) and any model blob an older build
+// parked for the verifier is deleted, so the store keeps no orphaned state.
 func (s *Service) RemoveVerifier(id string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

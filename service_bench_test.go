@@ -89,10 +89,10 @@ func BenchmarkServiceVerifyCold(b *testing.B) {
 
 // BenchmarkRecoveryBoot is the boot-time cost of Recover over a populated
 // store (one corpus, one trained verifier, one live session with a short
-// answer log): the restart latency a -data-dir deployment pays. Snapshot
-// re-materializes the verifier from its stored model blob; Retrain is the
-// fallback when only the journal survives (snapshot blobs lost), which
-// re-fits features and classifiers from the journaled training document.
+// answer log): the restart latency a -data-dir deployment pays. Retrain
+// is the one boot path: it re-fits features and classifiers from the
+// journaled training document, then re-parks the session by answer-log
+// replay.
 func BenchmarkRecoveryBoot(b *testing.B) {
 	w := benchServiceWorld(b)
 	st := NewMemoryStore()
@@ -121,14 +121,10 @@ func BenchmarkRecoveryBoot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// Journal-only copy: recovery from it must retrain the verifier.
-	bare := st.CloneWithPrefix(int(st.Stats().Records))
-
-	boot := func(b *testing.B, from Store) {
-		b.Helper()
+	b.Run("Retrain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			svc2 := NewService()
-			stats, err := svc2.Recover(from, NewSessionManager(0, 0))
+			stats, err := svc2.Recover(st, NewSessionManager(0, 0))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -136,9 +132,7 @@ func BenchmarkRecoveryBoot(b *testing.B) {
 				b.Fatalf("unexpected recovery: %+v", stats)
 			}
 		}
-	}
-	b.Run("Snapshot", func(b *testing.B) { boot(b, st) })
-	b.Run("Retrain", func(b *testing.B) { boot(b, bare) })
+	})
 }
 
 // BenchmarkServiceVerifyWarm is the full service request: StartRun +
