@@ -187,6 +187,46 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	mustEqualResults(t, "batch run after recovery", batchRun(t, v, docB), batchRun(t, v2, docB))
 }
 
+// TestRecoveryRetrainFallback pins recovery from a journal with no blobs
+// at all (here: a store whose journal was copied without them): the
+// verifier is deterministically retrained from the journaled training
+// document and still verifies bit-identically.
+func TestRecoveryRetrainFallback(t *testing.T) {
+	w := recoveryWorld(t)
+	_, docB := splitWorldDoc(w)
+	st := NewMemoryStore()
+	svc := attachedService(t, st, nil)
+	if _, err := svc.AddCorpus("world", w.Corpus); err != nil {
+		t.Fatal(err)
+	}
+	v, err := svc.CreateVerifier("world", w.Document, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Journal only: CloneWithPrefix copies every record and drops the blobs.
+	bare := st.CloneWithPrefix(int(st.Stats().Records))
+	if n := bare.Stats().Snapshots; n != 0 {
+		t.Fatalf("journal-only copy holds %d blobs", n)
+	}
+	svc2 := NewService()
+	stats, err := svc2.Recover(bare, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Corpora != 1 || stats.Verifiers != 1 {
+		t.Fatalf("recovery stats: %+v", stats)
+	}
+	v2, ok := svc2.Verifier(v.ID())
+	if !ok {
+		t.Fatal("verifier not recovered")
+	}
+	if v2.TrainedOn() != v.TrainedOn() {
+		t.Fatalf("trained_on %d vs %d", v2.TrainedOn(), v.TrainedOn())
+	}
+	mustEqualResults(t, "retrained verifier", batchRun(t, v, docB), batchRun(t, v2, docB))
+}
+
 // legacyModelBlob is a verifier model blob in the shape older builds
 // parked through SaveSnapshot: JSON-encoded classifier states and formula
 // library. Its one model is deliberately wrong, so a reader that restored
