@@ -1,10 +1,10 @@
 package main
 
 // Handler fuzzers for the untrusted request bodies that create state: a
-// relation CSV upload and a verifier's training document. Whatever the
-// body, the daemon must answer without a panic or a 5xx, and a refused
-// request (4xx) must leave the journal and the registry exactly as they
-// were.
+// relation CSV upload, a verifier's training document and a run's
+// creation envelope. Whatever the body, the daemon must answer without a
+// panic or a 5xx, and a refused request (4xx) must leave the journal and
+// the registry exactly as they were.
 
 import (
 	"bytes"
@@ -19,12 +19,14 @@ import (
 )
 
 // fuzzState is what a refused request must not change: the journal's
-// record count and size, and the registry.
+// record count and size, and the registry of corpora, verifiers and
+// interactive runs.
 type fuzzState struct {
 	Records   uint64
 	Bytes     int64
 	Corpora   []scrutinizer.CorpusInfo
 	Verifiers []scrutinizer.VerifierInfo
+	Sessions  scrutinizer.SessionStats
 }
 
 func captureState(s *server, st scrutinizer.Store) fuzzState {
@@ -34,6 +36,7 @@ func captureState(s *server, st scrutinizer.Store) fuzzState {
 		Bytes:     stats.JournalBytes,
 		Corpora:   s.svc.Corpora(),
 		Verifiers: s.svc.Verifiers(),
+		Sessions:  s.sessions.Stats(),
 	}
 }
 
@@ -136,6 +139,62 @@ func FuzzCreateVerifier(f *testing.F) {
 		}
 		if got, _ := fuzzRequest(t, s, st, http.MethodDelete, ts.URL+"/v1/verifiers/"+created.ID, nil); got != http.StatusOK {
 			t.Fatalf("delete verifier %s: status %d", created.ID, got)
+		}
+	})
+}
+
+// FuzzCreateRun fuzzes the envelope of POST /v1/verifiers/{id}/runs in
+// both modes: batch runs verify inline against the simulated crowd, and
+// session runs park an interactive run, which is deleted again so the
+// registry stays small however long the fuzzer runs.
+func FuzzCreateRun(f *testing.F) {
+	w := recoveryTestWorld(f)
+	st := scrutinizer.NewMemoryStore()
+	s, ts := storedServer(f, w, st)
+	v, err := s.svc.CreateVerifier(defaultCorpusID, w.Document, scrutinizer.Options{Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Small documents keep each run, and the minimization of new finds,
+	// short.
+	small := &scrutinizer.Document{Title: "fuzz", Sections: w.Document.Sections, Claims: w.Document.Claims[:3]}
+	var doc bytes.Buffer
+	if err := small.WriteJSON(&doc); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doc.Bytes())
+	for _, env := range []map[string]any{
+		{"mode": "batch", "team": 3, "batch": 2, "parallelism": 2, "ordering": "greedy", "seed": 3},
+		{"mode": "session", "checkers": 2, "batch": 2, "ordering": "sequential", "section_read_cost": 1.5},
+		{"team": maxRunTeam + 1},
+		{"section_read_cost": 1e308, "batch": 2},
+		{"mode": "batch", "batch": -1, "parallelism": -4, "ordering": "random", "team": -2},
+	} {
+		env["document"] = json.RawMessage(doc.Bytes())
+		body, err := json.Marshal(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, seed := range []string{"", "{}", "null", "[]", `{"mode": "teleport"}`, `{"document": {"claims": []}}`, `{"document": {"claims": [{}]}, "mode": "session"}`} {
+		f.Add([]byte(seed))
+	}
+	url := ts.URL + "/v1/verifiers/" + v.ID() + "/runs"
+	f.Fuzz(func(t *testing.T, body []byte) {
+		status, out := fuzzRequest(t, s, st, http.MethodPost, url, body)
+		if status < 300 && !json.Valid(out) {
+			t.Fatalf("status %d with a body that is not JSON: %q", status, out)
+		}
+		if status != http.StatusCreated {
+			return
+		}
+		var created sessionRunResponse
+		if err := json.Unmarshal(out, &created); err != nil {
+			t.Fatalf("created run: %v: %s", err, out)
+		}
+		if got, _ := fuzzRequest(t, s, st, http.MethodDelete, ts.URL+"/v1/runs/"+created.ID, nil); got != http.StatusOK {
+			t.Fatalf("delete run %s: status %d", created.ID, got)
 		}
 	})
 }

@@ -106,13 +106,13 @@
 //	{
 //	  "document":    {...},       // required: the document to verify
 //	  "mode":        "batch",     // batch | session
-//	  "team":        3,           // batch runs: simulated checkers (default 3)
+//	  "team":        3,           // batch runs: simulated checkers (default 3, at most 100)
 //	  "checkers":    1,           // session runs: humans skimming each section
 //	  "batch":       100,         // retraining batch size (default 100)
 //	  "parallelism": 0,           // 0 = server default
 //	  "ordering":    "ilp",       // ilp | sequential | greedy | random
 //	  "seed":        7,           // random-ordering seed
-//	  "section_read_cost": 0      // seconds per section skim
+//	  "section_read_cost": 0      // seconds per section skim (at most 3600)
 //	}
 package main
 

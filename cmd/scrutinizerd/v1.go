@@ -320,6 +320,15 @@ type runRequest struct {
 	SectionReadCost float64 `json:"section_read_cost"`
 }
 
+// Bounds on untrusted run-creation fields. The simulated crowd builds one
+// worker per "team" member, so an unbounded team could exhaust memory
+// before the run starts. Crowd seconds grow with "section_read_cost", so
+// an unbounded cost overflows them to +Inf, which no JSON report encodes.
+const (
+	maxRunTeam         = 100
+	maxSectionReadCost = 3600 // seconds to skim one section
+)
+
 // coverageJSON shapes FeatureCoverage for responses.
 type coverageJSON struct {
 	EmbedRatio float64 `json:"embed_ratio"`
@@ -391,6 +400,10 @@ func (s *server) handleRunCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	if req.SectionReadCost < 0 || req.SectionReadCost > maxSectionReadCost {
+		httpError(w, http.StatusUnprocessableEntity, fmt.Sprintf("section_read_cost %g outside [0, %d] seconds", req.SectionReadCost, maxSectionReadCost))
+		return
+	}
 	parallelism := req.Parallelism
 	if parallelism <= 0 {
 		parallelism = s.parallel
@@ -417,6 +430,10 @@ func (s *server) handleRunCreate(w http.ResponseWriter, r *http.Request) {
 		team := req.Team
 		if team <= 0 {
 			team = 3
+		}
+		if team > maxRunTeam {
+			httpError(w, http.StatusUnprocessableEntity, fmt.Sprintf("team %d exceeds %d", team, maxRunTeam))
+			return
 		}
 		// Batch runs hold a quota slot for the whole request.
 		release, ok := s.acquireRun(w, v.ID())
@@ -445,8 +462,7 @@ func (s *server) handleRunCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		res, err := run.Verify(ctx, crowd, vopts)
-		// Batch runs are request-scoped: hand the engine back to the
-		// verifier's spare pool so the next request re-primes it in place.
+		// Batch runs are request-scoped: drop the engine with the request.
 		run.Close()
 		if err != nil {
 			httpError(w, verifyErrStatus(err), err.Error())

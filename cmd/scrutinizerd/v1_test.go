@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/repro/scrutinizer"
 )
@@ -472,6 +474,10 @@ func TestV1RejectsBadInput(t *testing.T) {
 			"document": json.RawMessage(docJSON(t, w.Document)), "mode": "teleport"}), http.StatusBadRequest},
 		{"run bad ordering", "POST", "/v1/verifiers/" + info.ID + "/runs", mustJSON(t, map[string]any{
 			"document": json.RawMessage(docJSON(t, w.Document)), "ordering": "alphabetical"}), http.StatusBadRequest},
+		{"run negative section read cost", "POST", "/v1/verifiers/" + info.ID + "/runs", mustJSON(t, map[string]any{
+			"document": json.RawMessage(docJSON(t, w.Document)), "section_read_cost": -1}), http.StatusUnprocessableEntity},
+		{"run huge section read cost", "POST", "/v1/verifiers/" + info.ID + "/runs", mustJSON(t, map[string]any{
+			"document": json.RawMessage(docJSON(t, w.Document)), "mode": "session", "section_read_cost": 1e308}), http.StatusUnprocessableEntity},
 		{"get unknown corpus", "GET", "/v1/corpora/nope", nil, http.StatusNotFound},
 		{"get unknown verifier", "GET", "/v1/verifiers/nope", nil, http.StatusNotFound},
 		{"get unknown run", "GET", "/v1/runs/nope", nil, http.StatusNotFound},
@@ -508,6 +514,38 @@ func TestV1RejectsBadInput(t *testing.T) {
 		t.Fatalf("unannotated session run: status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestV1RejectsHugeTeam: a batch run asking for a billion simulated
+// checkers is refused with 422 and leaves the registry and the journal as
+// they were. The server's request deadline has always expired, so a
+// handler without the bound would refuse at StartRun (504) rather than
+// build the team.
+func TestV1RejectsHugeTeam(t *testing.T) {
+	w := recoveryTestWorld(t)
+	st := scrutinizer.NewMemoryStore()
+	s, err := newServer(w.Corpus, serverConfig{parallel: 2, sessionTTL: time.Hour, requestTimeout: time.Nanosecond}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 3)
+
+	before := captureState(s, st)
+	body := mustJSON(t, map[string]any{"document": json.RawMessage(docJSON(t, w.Document)), "team": 1_000_000_000})
+	resp := do(t, "POST", ts.URL+"/v1/verifiers/"+info.ID+"/runs", body)
+	var e map[string]string
+	decodeJSON(t, resp, &e)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("team 1e9: status %d (%v), want 422", resp.StatusCode, e)
+	}
+	if !strings.Contains(e["error"], "team") {
+		t.Errorf("error should name the team: %q", e["error"])
+	}
+	if after := captureState(s, st); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused run changed state:\n  before %+v\n  after  %+v", before, after)
+	}
 }
 
 func mustJSON(t *testing.T, v any) []byte {

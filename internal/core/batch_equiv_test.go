@@ -266,61 +266,3 @@ func TestRunPoolCapsWorkersAtJobs(t *testing.T) {
 		t.Fatalf("ran %d jobs, want 2", started)
 	}
 }
-
-// TestSpawnReleaseReuse: an engine released after a full run (which
-// retrained it at every batch barrier) and re-spawned from the snapshot
-// must behave bit-identically to a pristine spawn, and re-priming clears
-// the per-run caches.
-func TestSpawnReleaseReuse(t *testing.T) {
-	w, pipe := batchFixture(t)
-	e := engineOver(t, w, pipe, nil)
-	if err := e.Train(w.Document.Claims); err != nil {
-		t.Fatal(err)
-	}
-	snap := e.Snapshot()
-
-	run := func(eng *Engine) *Result {
-		t.Helper()
-		team, err := crowd.NewTeam("W", 3, 0.97, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Verify(context.Background(), w.Document, team, VerifyConfig{BatchSize: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	want := run(snap.Spawn()) // pristine reference, never released
-
-	// Deterministic re-prime check (sync.Pool reuse is best-effort, so the
-	// dirty->pristine transition is exercised directly too).
-	dirty := snap.Spawn()
-	run(dirty)
-	if dirty.Generation() == snap.Generation() {
-		t.Fatal("run should have retrained the spawned engine past the snapshot generation")
-	}
-	dirty.reprime(snap)
-	mustEqualRuns(t, "re-primed dirty engine vs pristine spawn", want, run(dirty))
-
-	// Release / Spawn round trip through the pool.
-	used := snap.Spawn()
-	run(used)
-	used.Release()
-	if len(used.featCache) != 0 || len(used.assessed) != 0 {
-		t.Fatal("Release must clear the per-run caches")
-	}
-	re := snap.Spawn()
-	if re == used {
-		t.Log("pool recycled the released engine")
-	}
-	mustEqualRuns(t, "respawn after release vs pristine spawn", want, run(re))
-
-	// Release is a no-op on double release, non-spawned and nil engines.
-	re.Release()
-	re.Release()
-	e.Release()
-	var nilEngine *Engine
-	nilEngine.Release()
-}

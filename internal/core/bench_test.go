@@ -94,9 +94,8 @@ func BenchmarkGenerateQueriesInterpreted(b *testing.B) {
 // benchVerifyE2E runs the full Algorithm 1 document loop with a batch size
 // that forces repeated retraining, so trained formula candidates flow into
 // Algorithm 2 for most claims — the workload where query generation is the
-// dominant per-claim cost. interpreted routes generation through the
-// pre-compilation reference engine via the override hook.
-func benchVerifyE2E(b *testing.B, interpreted, deadline bool) {
+// dominant per-claim cost.
+func benchVerifyE2E(b *testing.B, deadline bool) {
 	e, w := buildEngine(b, tinyWorld())
 	pipe := e.pipe
 	cfg := e.cfg
@@ -122,9 +121,6 @@ func benchVerifyE2E(b *testing.B, interpreted, deadline bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if interpreted {
-			e.genOverride = e.generateQueriesInterpreted
-		}
 		b.StartTimer()
 		res, err := e.Verify(ctx, w.Document, team, VerifyConfig{BatchSize: 10})
 		if err != nil {
@@ -136,14 +132,12 @@ func benchVerifyE2E(b *testing.B, interpreted, deadline bool) {
 	}
 }
 
-// BenchmarkVerifyEndToEnd / BenchmarkVerifyEndToEndInterpreted record the
-// end-to-end document-verification win of the compiled query engine in the
+// BenchmarkVerifyEndToEnd records end-to-end document verification in the
 // tracked BENCH_*.json set. BenchmarkVerifyWithDeadline is the same run
 // under a live (never-firing) deadline — its gap to VerifyEndToEnd is the
 // total cost of the cancellation checkpoints, budgeted at <2%.
-func BenchmarkVerifyEndToEnd(b *testing.B)            { benchVerifyE2E(b, false, false) }
-func BenchmarkVerifyEndToEndInterpreted(b *testing.B) { benchVerifyE2E(b, true, false) }
-func BenchmarkVerifyWithDeadline(b *testing.B)        { benchVerifyE2E(b, false, true) }
+func BenchmarkVerifyEndToEnd(b *testing.B)     { benchVerifyE2E(b, false) }
+func BenchmarkVerifyWithDeadline(b *testing.B) { benchVerifyE2E(b, true) }
 
 // BenchmarkVerifyInstrumented is BenchmarkVerifyEndToEnd with a live
 // metrics observer installed — the exact hooks scrutinizerd wires in.
@@ -163,7 +157,7 @@ func BenchmarkVerifyInstrumented(b *testing.B) {
 		BatchScored:  func(n int) { scored.Add(uint64(n)) },
 	})
 	defer SetObserver(nil)
-	benchVerifyE2E(b, false, false)
+	benchVerifyE2E(b, false)
 	if rounds.Load() == 0 || scored.Load() == 0 || fits.Load() == 0 {
 		b.Fatal("observer hooks never fired")
 	}

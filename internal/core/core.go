@@ -184,8 +184,8 @@ type Engine struct {
 	// pending is the fit of a run's last retrain barrier, deferred
 	// because no later batch of that run reads it (see completeBatch).
 	// Its examples are already validated, so running it cannot fail.
-	// Every reader of the models settles it first (settle); Release and
-	// reprime drop it unread. fitMu serializes settling and guards
+	// Every reader of the models settles it first (settle); an engine
+	// dropped unread never runs it. fitMu serializes settling and guards
 	// pending; hasPending is the lock-free fast path the scoring hot path
 	// checks.
 	fitMu      sync.Mutex
@@ -199,11 +199,6 @@ type Engine struct {
 	// is shared across every engine spawned from one snapshot lineage).
 	qcache *QueryCache
 	fc     *formulaCache
-
-	// genOverride, when set, replaces GenerateQueries' compiled engine —
-	// the benchmark/equivalence hook that lets the reference interpreter
-	// drive the full Algorithm 1 loop for end-to-end comparisons.
-	genOverride func(Context, []*formula.Formula, float64, bool) ([]GeneratedQuery, []GeneratedQuery)
 
 	// featMu guards the feature cache: claim verification fans out across
 	// goroutines (Verify with Parallelism > 1) and Featurize is on that
@@ -228,12 +223,6 @@ type Engine struct {
 	// the reference implementation the batch path is pinned against in
 	// the equivalence tests. Never set outside tests.
 	seqAssess bool
-
-	// origin is the snapshot this engine was spawned from, when it came
-	// through ModelSnapshot.Spawn; Release returns the engine to the
-	// snapshot's spare pool so its caches and model buffers are recycled
-	// by the next Spawn.
-	origin *ModelSnapshot
 }
 
 // assessment is everything one scoring pass over the four models yields for
@@ -446,8 +435,7 @@ func (e *Engine) formulaAliases(f *formula.Formula) []string {
 
 // compiledProgram returns the compiled program for a canonical formula
 // string, compiling and caching on first use; nil when uncompilable (a nil
-// value is cached too, so rejected formulas fall back to the interpreter
-// without recompiling per claim).
+// value is cached too, so a rejected formula is not recompiled per claim).
 func (e *Engine) compiledProgram(fkey string, n expr.Node) *expr.Program {
 	fc := e.fc
 	ent := fc.intern(fkey)
@@ -678,14 +666,6 @@ func (e *Engine) settle() {
 		e.pending = nil
 		e.hasPending.Store(false)
 	}
-}
-
-// dropFit discards a deferred fit unread.
-func (e *Engine) dropFit() {
-	e.fitMu.Lock()
-	e.pending = nil
-	e.hasPending.Store(false)
-	e.fitMu.Unlock()
 }
 
 // assess returns the claim's cached assessment, computing it when the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -212,55 +213,57 @@ func TestDeferredFitGenerationWithoutFit(t *testing.T) {
 	}
 }
 
-// TestDeferredFitDroppedOnRelease: a run released unread never fits its
-// last batch (one barrier retrain fewer than batches), and the engine it
-// leaves behind — recycled through the pool or re-primed directly — runs
-// exactly like a fresh spawn.
+// TestDeferredFitDroppedOnRelease: a run dropped unread never fits its
+// last batch (one barrier retrain fewer than batches), leaves its
+// snapshot's trained state untouched, and a later spawn runs exactly like
+// one taken before the run.
 func TestDeferredFitDroppedOnRelease(t *testing.T) {
 	retrains, fits := countRetrains(t)
-	sp, w := finalFitRun(t)
-	snap := sp.origin
-	if got := retrains.Load(); got != 2 {
-		t.Fatalf("%d barrier retrains in a 3-batch run, want 2", got)
+	e, w := buildEngine(t, tinyWorld())
+	if err := e.Train(w.Document.Claims[:30]); err != nil {
+		t.Fatal(err)
 	}
-	fitsBefore := fits.Load()
-	sp.Release()
-	if retrains.Load() != 2 || fits.Load() != fitsBefore {
-		t.Fatal("Release ran the deferred fit")
-	}
-
-	run := func(e *Engine) *Result {
+	snap := e.Snapshot()
+	before := encodeModels(t, snap)
+	run := func(eng *Engine) *Result {
 		t.Helper()
 		team, err := crowd.NewTeam("W", 3, 0.97, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Verify(context.Background(), w.Document, team, VerifyConfig{BatchSize: 20})
+		res, err := eng.Verify(context.Background(), w.Document, team, VerifyConfig{BatchSize: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	re := snap.Spawn() // the released engine, unless the pool dropped it
-	if re == sp {
-		t.Log("pool recycled the released engine")
-	}
-	mustEqualRuns(t, "respawn after release vs fresh spawn", run(snap.Spawn()), run(re))
+	want := run(snap.Spawn())
 
-	// sync.Pool reuse is best-effort, so re-prime a dirty engine directly
-	// too: the pending fit goes, the models are the snapshot's again.
-	dirty, _ := finalFitRun(t)
-	snap = dirty.origin
-	dirty.reprime(snap)
-	if dirty.hasPending.Load() || dirty.Generation() != snap.Generation() {
-		t.Fatal("reprime kept the deferred fit")
+	retrains.Store(0)
+	fitsBefore := fits.Load()
+	sp := snap.Spawn()
+	if res := run(sp); res.Batches != 3 {
+		t.Fatalf("%d batches, want 3", res.Batches)
 	}
-	for k, m := range snap.models {
-		if dirty.Model(k) != m {
-			t.Fatalf("%s: re-primed engine does not share the snapshot's model", k)
-		}
+	if got := retrains.Load(); got != 2 {
+		t.Fatalf("%d barrier retrains in a 3-batch run, want 2", got)
 	}
-	mustEqualRuns(t, "re-primed dirty engine vs fresh spawn", run(snap.Spawn()), run(dirty))
+	if !sp.hasPending.Load() {
+		t.Fatal("the last batch's fit was not deferred")
+	}
+	fitsAfterRun := fits.Load()
+	if fitsAfterRun == fitsBefore {
+		t.Fatal("the earlier barriers did not fit")
+	}
+	// The run is dropped here, unread: reading its snapshot does not
+	// settle the run's pending fit.
+	if !bytes.Equal(encodeModels(t, snap), before) {
+		t.Fatal("the dropped run changed its snapshot's trained state")
+	}
+	if retrains.Load() != 2 || fits.Load() != fitsAfterRun || !sp.hasPending.Load() {
+		t.Fatal("the dropped run ran its deferred fit")
+	}
+	mustEqualRuns(t, "spawn after a dropped run vs fresh spawn", want, run(snap.Spawn()))
 }
 
 // TestCopyOnWriteIsolation: two engines spawned from one snapshot share

@@ -35,17 +35,15 @@
 // Snapshots and spawned engines share the cache across a verifier's whole
 // lineage — it holds derived, immutable data only.
 //
-// # Pooled run engines
+// # Run engines
 //
 // A ModelSnapshot freezes an engine's trained state; Spawn turns it back
 // into a private engine that a verification run may retrain freely. The
 // spawned engine shares the snapshot's classifiers until its first fit
 // copies them, and the fit of a run's last batch barrier waits for a
-// reader of the models, so a one-batch run released unread copies and
-// trains nothing. Released engines (Engine.Release) return to the
-// snapshot's pool, and the next Spawn re-primes one in place — per-run
-// caches keep their capacity — so a service handling many short runs
-// allocates the engine machinery once, not per request.
+// reader of the models, so a one-batch run dropped unread copies and
+// trains nothing. Each Spawn builds a fresh engine; beyond the shared
+// state it holds only small per-run maps.
 //
 // # Parallelism
 //

@@ -67,10 +67,6 @@ func (e *Engine) GenerateQueries(ctx context.Context, qc Context, formulas []*fo
 	if err := checkCancel(ctx); err != nil {
 		return nil, nil, err
 	}
-	if e.genOverride != nil {
-		solutions, alternates = e.genOverride(qc, formulas, p, hasParam)
-		return solutions, alternates, nil
-	}
 	gs := getGenScratch()
 	defer putGenScratch(gs)
 
@@ -228,9 +224,8 @@ func (e *Engine) generateForFormula(ctx context.Context, gs *genScratch, env *ge
 // order — an odometer over (relation, key) pairs per alias, last alias
 // fastest, with every attribute assignment tried per pair tuple — and
 // records the successful executions as canonical slot tuples. Execution is
-// compiled (plan over the interned index) whenever the formula compiles;
-// expressions the compiler rejects fall back to per-candidate interpreted
-// execution with identical pruning semantics.
+// compiled (plan over the interned index); a formula the compiler rejects
+// fails every assignment, which still counts against the budget.
 //
 // ctx is polled every enumCheckEvery assignments; on cancellation the
 // partial entry is discarded and enumerate returns nil (callers must not
@@ -249,12 +244,7 @@ func (e *Engine) enumerate(ctx context.Context, gs *genScratch, env *genEnv, f *
 
 	t := &tentEntry{stride: len(aliases) + len(attrVars)}
 	exec, release := e.compiledExecutor(env, f, fkey, aliases)
-	if exec == nil {
-		exec = e.interpretedExecutor(env, f, aliases)
-	}
-	if release != nil {
-		defer release()
-	}
+	defer release()
 
 	if cap(gs.pairTuple) < len(aliases) {
 		gs.pairTuple = make([]int32, len(aliases))
@@ -311,12 +301,13 @@ func (e *Engine) enumerate(ctx context.Context, gs *genScratch, env *genEnv, f *
 // compiledExecutor builds the integer-slot executor for a formula: all
 // names (columns, numeric attribute labels) are resolved to IDs or parsed
 // before the loop, so each candidate costs coordinate assembly plus one
-// program evaluation. Returns a nil executor when the expression does not
-// compile; the release function (when non-nil) returns the pooled scratch.
+// program evaluation. A formula that does not compile, or whose program
+// disagrees with the enumerated aliases, gets an executor that fails every
+// assignment. The release function returns the pooled scratch.
 func (e *Engine) compiledExecutor(env *genEnv, f *formula.Formula, fkey string, aliases []string) (exec func(pt, aa []int32) (float64, bool), release func()) {
 	prog := e.compiledProgram(fkey, f.Expr)
 	if prog == nil || len(prog.Aliases()) != len(aliases) {
-		return nil, nil
+		return func(pt, aa []int32) (float64, bool) { return 0, false }, func() {}
 	}
 	env.ensureExec()
 	varPos := func(name string) int32 {
@@ -405,24 +396,6 @@ func (e *Engine) compiledExecutor(env *genEnv, f *formula.Formula, fkey string, 
 		v, err := plan.ExecCoords(coords, sc.AttrNums, sc)
 		return v, err == nil
 	}, func() { query.PutScratch(sc) }
-}
-
-// interpretedExecutor is the fallback for uncompilable expressions: each
-// candidate builds a Query and runs the tree interpreter, pruning on any
-// error exactly like the pre-compilation loop.
-func (e *Engine) interpretedExecutor(env *genEnv, f *formula.Formula, aliases []string) func(pt, aa []int32) (float64, bool) {
-	return func(pt, aa []int32) (float64, bool) {
-		q := &query.Query{Select: f.Expr, AttrBindings: make(map[string]string, len(f.AttrVars))}
-		for vi, v := range f.AttrVars {
-			q.AttrBindings[v] = env.ctx.Attrs[aa[vi]]
-		}
-		for ai, alias := range aliases {
-			pr := &env.pairs[pt[ai]]
-			q.Bindings = append(q.Bindings, query.Binding{Alias: alias, Relation: pr.relName, Key: pr.key})
-		}
-		v, err := q.ExecuteInterpreted(e.corpus)
-		return v, err == nil
-	}
 }
 
 // genPair is one (relation, key) candidate for an alias binding, with both

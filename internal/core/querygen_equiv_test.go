@@ -104,7 +104,7 @@ func (e *Engine) generateForFormulaInterpreted(ctx Context, f *formula.Formula, 
 				pr := pairs[idx[ai]]
 				q.Bindings = append(q.Bindings, query.Binding{Alias: alias, Relation: pr.rel, Key: pr.key})
 			}
-			val, err := q.ExecuteInterpreted(e.corpus)
+			val, err := q.Execute(e.corpus)
 			if err != nil {
 				continue
 			}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"github.com/repro/scrutinizer/internal/classifier"
 	"github.com/repro/scrutinizer/internal/feature"
 	"github.com/repro/scrutinizer/internal/formula"
@@ -25,14 +23,12 @@ import (
 // models start as the snapshot's own classifiers, which nothing trains,
 // and the engine clones them on its first fit (copy on write). A run whose
 // only retrain is its last barrier's defers that fit (see completeBatch),
-// so a one-batch run that is released unread never copies or trains a
+// so a one-batch run that is dropped unread never copies or trains a
 // weight.
 //
-// Spawned engines are pooled: Release returns a finished run's engine to
-// its snapshot, and the next Spawn re-primes it in place (the models
-// point back at the snapshot's, the feature/assessment maps keep their
-// capacity), so a service handling many short runs against one trained
-// verifier allocates the engine machinery once instead of per request.
+// Spawn builds a fresh engine per run: beyond the snapshot's shared state
+// it holds only small per-run maps, and recycling engines between runs
+// showed no measurable gain in serving throughput, latency or memory.
 
 // ModelSnapshot is an immutable copy of an engine's trained model state.
 // It is safe for concurrent use: every Spawn derives an independent engine
@@ -49,12 +45,8 @@ type ModelSnapshot struct {
 	lib    *formula.Library
 	gen    uint64
 
-	qcache      *QueryCache
-	fc          *formulaCache
-	genOverride func(Context, []*formula.Formula, float64, bool) ([]GeneratedQuery, []GeneratedQuery)
-
-	// spares pools engines returned by Release for reuse by Spawn.
-	spares sync.Pool
+	qcache *QueryCache
+	fc     *formulaCache
 }
 
 // Snapshot deep-copies the engine's trained state into an immutable
@@ -65,14 +57,13 @@ type ModelSnapshot struct {
 func (e *Engine) Snapshot() *ModelSnapshot {
 	e.settle()
 	s := &ModelSnapshot{
-		corpus:      e.corpus,
-		pipe:        e.pipe,
-		cfg:         e.cfg,
-		models:      make(map[PropertyKind]*classifier.Classifier, len(e.models)),
-		lib:         e.lib,
-		qcache:      e.qcache,
-		fc:          e.fc,
-		genOverride: e.genOverride,
+		corpus: e.corpus,
+		pipe:   e.pipe,
+		cfg:    e.cfg,
+		models: make(map[PropertyKind]*classifier.Classifier, len(e.models)),
+		lib:    e.lib,
+		qcache: e.qcache,
+		fc:     e.fc,
 	}
 	for k, m := range e.models {
 		s.models[k] = m.Clone()
@@ -93,73 +84,24 @@ func (s *ModelSnapshot) Generation() uint64 { return s.gen }
 // assessment caches start empty — they are per-run state, keyed by claim
 // ID, and distinct runs may verify distinct documents whose claim IDs
 // collide.
-//
-// Spawn prefers recycling an engine a previous run returned via Release,
-// re-priming it from the snapshot in place; the result is indistinguishable
-// from a fresh spawn (pinned by test), even when the released run had
-// retrained its models.
 func (s *ModelSnapshot) Spawn() *Engine {
-	if v := s.spares.Get(); v != nil {
-		e := v.(*Engine)
-		e.reprime(s)
-		return e
-	}
 	e := &Engine{
-		models:    make(map[PropertyKind]*classifier.Classifier, len(s.models)),
-		featCache: make(map[int]textproc.Sparse),
-		assessed:  make(map[int]*assessment),
+		corpus:       s.corpus,
+		pipe:         s.pipe,
+		cfg:          s.cfg,
+		models:       make(map[PropertyKind]*classifier.Classifier, len(s.models)),
+		sharedModels: true,
+		lib:          s.lib,
+		qcache:       s.qcache,
+		fc:           s.fc,
+		gen:          s.gen,
+		featCache:    make(map[int]textproc.Sparse),
+		assessed:     make(map[int]*assessment),
 	}
-	e.reprime(s)
-	return e
-}
-
-// reprime restores a pooled engine to the snapshot's trained state in
-// place: a deferred fit is dropped, the models point back at the
-// snapshot's classifiers (copied on the next fit), the shared references
-// (corpus, pipeline, caches, library) reset to the snapshot's, and the
-// per-run caches — cleared at Release time — keep their map capacity for
-// the next document.
-func (e *Engine) reprime(s *ModelSnapshot) {
-	e.dropFit()
-	e.corpus = s.corpus
-	e.pipe = s.pipe
-	e.cfg = s.cfg
-	e.lib = s.lib
-	e.qcache = s.qcache
-	e.fc = s.fc
-	e.genOverride = s.genOverride
-	clear(e.models)
 	for k, m := range s.models {
 		e.models[k] = m
 	}
-	e.sharedModels = true
-	e.gen = s.gen
-	e.seqAssess = false
-	e.origin = s
-}
-
-// Release returns an engine obtained from Spawn to its snapshot's spare
-// pool for reuse by a later Spawn. The caller must be completely done with
-// the engine: no goroutine may touch it (or anything read through it, such
-// as cached assessments) after Release. Engines not created by Spawn, and
-// engines already released, are left alone — Release is then a no-op, so
-// callers may release unconditionally on their shutdown path.
-func (e *Engine) Release() {
-	if e == nil || e.origin == nil {
-		return
-	}
-	s := e.origin
-	e.origin = nil // double-release guard: second call no-ops
-	// Drop per-run state now (claim IDs collide across documents, and the
-	// features/assessments of a finished run are dead weight while pooled);
-	// the maps keep their buckets for the next run. A deferred final fit
-	// has no reader left, and the run's own model copies go with it: the
-	// next Spawn points the models back at the snapshot's.
-	e.dropFit()
-	clear(e.featCache)
-	clear(e.assessed)
-	clear(e.models)
-	s.spares.Put(e)
+	return e
 }
 
 // Clone returns an independent engine with the same trained state:

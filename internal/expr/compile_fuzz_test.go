@@ -15,6 +15,11 @@ import (
 // fixed-arity functions, attribute variables used as numbers, and the
 // error paths; run `go test -fuzz FuzzCompileVsInterpret ./internal/expr`
 // to explore further.
+//
+// It also checks that Compile is total over parsed input: every
+// expression Parse accepts compiles. The query generator relies on this —
+// it has no interpreter fallback, so a formula that failed to compile
+// would silently yield no candidates.
 func FuzzCompileVsInterpret(f *testing.F) {
 	seeds := []struct {
 		src     string
@@ -39,6 +44,9 @@ func FuzzCompileVsInterpret(f *testing.F) {
 		n, err := Parse(src)
 		if err != nil {
 			return
+		}
+		if _, err := Compile(n); err != nil {
+			t.Fatalf("%q parses but does not compile: %v", src, err)
 		}
 		rng := rand.New(rand.NewSource(int64(seed)))
 		env := testEnv(rng, missing&0x1ff)

@@ -31,17 +31,6 @@ func benchQuery() *Query {
 	}
 }
 
-func BenchmarkExecuteCAGR(b *testing.B) {
-	c := benchCorpus(b)
-	q := benchQuery()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := q.Execute(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRenderSQL(b *testing.B) {
 	q := benchQuery()
 	b.ResetTimer()

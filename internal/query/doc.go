@@ -18,28 +18,26 @@
 //
 // # Execution: Execute vs Plan
 //
-// Two execution layers share one compiled core:
+// The paper runs queries two ways, and each has one execution path:
 //
-//   - Query.Execute is the convenience path for a single fixed query. It
-//     lowers the SELECT expression to a flat expr.Program once (cached on
-//     the Query), resolves names through the corpus's interned
-//     table.Index, and evaluates on pooled scratch — allocation-free in
-//     steady state. Any failure re-runs the tree interpreter
-//     (ExecuteInterpreted), which owns the canonical validation and
-//     execution error messages; the two paths are pinned value- and
-//     error-equivalent by property-based tests.
+//   - Query.Execute runs one fixed query through the tree interpreter —
+//     a checker's final-screen SQL, an aggregate check, a world
+//     generator's truth query. Each of these executes once, so nothing is
+//     compiled; Execute validates the query and owns the canonical
+//     validation and execution error messages.
 //
 //   - Plan is the bulk path for one expression executed under many
-//     variable assignments — tentative execution in the query generator.
-//     NewPlan compiles once against an Index; Bind resolves a concrete
-//     assignment to integer cell coordinates for repeated Run calls, and
-//     ExecCoords evaluates pre-resolved coordinate slices directly, which
-//     is what lets Algorithm 2 enumerate candidate assignments as integer
-//     slot tuples with zero string handling per candidate.
+//     variable assignments — tentative execution in the query generator
+//     (Algorithm 2). The caller compiles the expression once to a flat
+//     expr.Program and resolves each candidate assignment to integer cell
+//     coordinates over the corpus's interned table.Index; ExecCoords then
+//     evaluates on pooled scratch with zero string handling and zero
+//     allocations per candidate. A property test pins ExecCoords value-
+//     and error-equivalent to Execute.
 //
 // Execute is read-only over the corpus, so one corpus serves any number of
-// concurrent verification workers; a compiled Query and a BoundQuery are
-// likewise safe for concurrent execution with distinct scratches.
+// concurrent verification workers; a Plan is likewise safe for concurrent
+// execution with distinct scratches.
 //
 // Disjunctive WHERE clauses (the "v2 OR v3" form produced when a claim
 // aggregates several key values) are handled by disjunction.go, which

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"github.com/repro/scrutinizer/internal/expr"
 	"github.com/repro/scrutinizer/internal/table"
@@ -30,22 +29,6 @@ type Query struct {
 	// AttrBindings resolves attribute variables (A1 -> "2017"). Empty for
 	// fully concrete queries.
 	AttrBindings map[string]string
-
-	// prog caches the compiled form of Select. The first Execute
-	// interprets (one-shot queries — generator internals, hand-written
-	// final-screen SQL — never pay compilation); the second compiles and
-	// every later call evaluates the flat program. Select is treated as
-	// immutable once the query executes.
-	prog atomic.Pointer[progState]
-}
-
-// progState tracks the per-query compilation ladder: a zero value marks
-// "executed once, interpret stage"; prog is the compiled program; bad
-// marks expressions the compiler rejects so Execute falls back to the
-// interpreter without recompiling per call.
-type progState struct {
-	prog *expr.Program
-	bad  bool
 }
 
 // Validate checks internal consistency: every alias referenced by the SELECT
@@ -98,87 +81,13 @@ func (e corpusEnv) Attr(v string) (string, bool) {
 	return s, ok
 }
 
-// Execute runs the query against the corpus and returns the value of the
-// SELECT expression.
-//
-// The repeated-execution happy path is compiled: from the second call on,
-// Select runs as a flat program (cached on the query) with names resolved
-// through the corpus's interned Index and evaluation on pooled scratch —
-// allocation-free in steady state. The very first call interprets, so
-// one-shot queries never pay compilation. Any fast-path failure (invalid
-// query, missing cell, arithmetic error) re-runs the tree interpreter,
-// which reproduces the exact validation and execution errors of
-// ExecuteInterpreted.
+// Execute runs the query against the corpus through the tree interpreter
+// and returns the value of the SELECT expression. Every production query
+// runs once (a checker's final-screen SQL, an aggregate check, a world
+// generator's truth query), so nothing is compiled here; bulk tentative
+// execution compiles through Plan instead. Execute validates first and
+// produces the canonical error messages for every failure mode.
 func (q *Query) Execute(c *table.Corpus) (float64, error) {
-	if prog := q.compiled(); prog != nil {
-		if v, ok := q.fastExecute(c, prog); ok {
-			return v, nil
-		}
-	}
-	return q.ExecuteInterpreted(c)
-}
-
-// compiled climbs the per-query ladder: first call marks the query seen
-// (interpret), second call compiles, later calls return the cached
-// program — nil whenever this call should interpret.
-func (q *Query) compiled() *expr.Program {
-	st := q.prog.Load()
-	switch {
-	case st == nil:
-		q.prog.Store(&progState{})
-		return nil
-	case st.prog == nil && !st.bad:
-		prog, err := expr.Compile(q.Select)
-		q.prog.Store(&progState{prog: prog, bad: err != nil})
-		return prog
-	default:
-		return st.prog
-	}
-}
-
-// fastExecute is the compiled path. It enforces the same well-formedness
-// conditions as Validate (reporting ok=false instead of an error, so the
-// interpreter path can produce the canonical message) and evaluates with
-// zero allocations.
-func (q *Query) fastExecute(c *table.Corpus, prog *expr.Program) (float64, bool) {
-	// Validate-equivalent structural checks, allocation-free: bindings
-	// complete and alias-unique; every cell attribute variable resolvable.
-	for i, b := range q.Bindings {
-		if b.Alias == "" || b.Relation == "" || b.Key == "" {
-			return 0, false
-		}
-		for _, prev := range q.Bindings[:i] {
-			if prev.Alias == b.Alias {
-				return 0, false
-			}
-		}
-	}
-	for _, cs := range prog.Cells() {
-		if expr.IsAttrVarName(cs.Attr) {
-			if _, ok := q.AttrBindings[cs.Attr]; !ok {
-				return 0, false
-			}
-		}
-	}
-	idx := c.Index()
-	sc := getScratch(prog)
-	defer PutScratch(sc)
-	if !resolveSlots(prog, idx, q.Bindings, q.AttrBindings, sc.Coords, sc.AttrNums) {
-		return 0, false
-	}
-	plan := Plan{Prog: prog, Idx: idx}
-	v, err := plan.ExecCoords(sc.Coords, sc.AttrNums, sc)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// ExecuteInterpreted runs the query through the tree-walking interpreter —
-// the reference implementation Execute's compiled path is pinned against
-// by the property-based equivalence tests, and the producer of the
-// canonical error messages for every failure mode.
-func (q *Query) ExecuteInterpreted(c *table.Corpus) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}

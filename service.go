@@ -221,8 +221,9 @@ func (v *Verifier) StartRun(ctx context.Context, doc *Document) (*Run, error) {
 	if len(doc.Claims) == 0 {
 		return nil, fmt.Errorf("scrutinizer: document has no claims")
 	}
-	// Spawning is cheap (pooled engines), but refuse work for a caller
-	// that has already hung up rather than hand out an engine for it.
+	// Spawning is cheap (the engine shares the snapshot's models), but
+	// refuse work for a caller that has already hung up rather than hand
+	// out an engine for it.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scrutinizer: start run: %w", err)
 	}
@@ -403,19 +404,15 @@ func (r *Run) VerifyClaimWith(ctx context.Context, c *Claim, oracle Oracle) (*Ou
 	return r.engine.VerifyClaimWith(ctx, c, oracle)
 }
 
-// Close releases the run's private engine back to the verifier's snapshot
-// pool, where the next StartRun against the same trained state re-primes
-// it in place instead of allocating a fresh engine. The fit of the run's
-// last batch, deferred until something reads the engine's models, is
-// dropped unrun. Optional (a run that is never closed is simply
-// collected), safe to call more than once, and terminal: the Run must not
-// be used afterwards. Results and Outcomes already returned stay valid.
+// Close drops the run's private engine. The fit of the run's last batch,
+// deferred until something reads the engine's models, is never run.
+// Optional (a run that is never closed is simply collected), safe to call
+// more than once, and terminal: the Run must not be used afterwards.
+// Results and Outcomes already returned stay valid.
 func (r *Run) Close() {
-	if r == nil || r.engine == nil {
-		return
+	if r != nil {
+		r.engine = nil
 	}
-	r.engine.Release()
-	r.engine = nil
 }
 
 // Service ---------------------------------------------------------------------

@@ -137,9 +137,7 @@ func BenchmarkRecoveryBoot(b *testing.B) {
 
 // BenchmarkServiceVerifyWarm is the full service request: StartRun +
 // verify + Close against one shared trained Verifier (the tracked
-// headline for the fit-once / verify-many amortization). Closing the run
-// returns its engine to the verifier's pool, so steady-state requests
-// re-prime a pooled engine instead of allocating one — exactly what the
+// headline for the fit-once / verify-many amortization) — exactly what the
 // /v1 batch-run handler does.
 func BenchmarkServiceVerifyWarm(b *testing.B) {
 	w := benchServiceWorld(b)

@@ -427,10 +427,10 @@ func TestVerifierCoverage(t *testing.T) {
 	}
 }
 
-// TestRunCloseRecyclesEngine: closing a finished run returns its engine to
-// the verifier's pool, and a later run that recycles it — even though the
-// first run retrained the engine at every batch barrier — is bit-identical
-// to the first. Close is idempotent.
+// TestRunCloseRecyclesEngine: runs started after earlier runs closed —
+// each of which retrained its engine at every batch barrier — are
+// bit-identical to the first, so nothing a closed run did reaches the
+// verifier's trained state. Close is idempotent.
 func TestRunCloseRecyclesEngine(t *testing.T) {
 	w := testWorld(t)
 	vopts := VerifyOptions{BatchSize: 10}
@@ -456,7 +456,7 @@ func TestRunCloseRecyclesEngine(t *testing.T) {
 
 	first := runOnce()
 	for i := 0; i < 3; i++ {
-		mustEqualResults(t, "recycled run", first, runOnce())
+		mustEqualResults(t, "later run", first, runOnce())
 	}
 
 	// Close twice (and on a nil run) is a no-op.
@@ -471,8 +471,8 @@ func TestRunCloseRecyclesEngine(t *testing.T) {
 }
 
 // TestRunCloseConcurrent: concurrent StartRun / Verify / Close cycles
-// against one verifier recycle engines safely (the -race run is the real
-// assertion) and deterministically.
+// against one verifier are safe (the -race run is the real assertion) and
+// deterministic.
 func TestRunCloseConcurrent(t *testing.T) {
 	w := testWorld(t)
 	vopts := VerifyOptions{BatchSize: 10, Parallelism: 2}
@@ -510,6 +510,6 @@ func TestRunCloseConcurrent(t *testing.T) {
 		}
 	}
 	for i := 1; i < len(results); i++ {
-		mustEqualResults(t, "concurrent recycled run", results[0], results[i])
+		mustEqualResults(t, "concurrent run", results[0], results[i])
 	}
 }
