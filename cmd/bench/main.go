@@ -68,14 +68,15 @@ type trackedBench struct {
 // defaultTracked is the curated paper-figure + hot-path set. The classifier
 // set holds the acceptance benchmarks of the sparse-engine rewrite plus
 // BenchmarkGrowingRetrain, the growing-vocabulary retrain sequence of a
-// document run; the table/query/core trio are the acceptance benchmarks of
-// the compiled query engine (BenchmarkGenerateQueries vs its Interpreted
-// reference is the ≥5x ratio); the root Verify pair is the
-// serving-throughput headline.
+// document run, and BenchmarkAnalyzeBatch, one model's batch scoring pass
+// of a scheduler round at the document run's shape; the table/query/core
+// trio are the acceptance benchmarks of the compiled query engine
+// (BenchmarkGenerateQueries vs its Interpreted reference is the ≥5x
+// ratio); the root Verify pair is the serving-throughput headline.
 // BenchmarkVerifyInstrumented vs BenchmarkVerifyEndToEnd pins the cost of
 // the run-lifecycle metric hooks: <2% ns/op and equal allocs/op.
 var defaultTracked = []trackedBench{
-	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkGrowingRetrain|BenchmarkPredictTopK|BenchmarkEntropy"},
+	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkGrowingRetrain|BenchmarkAnalyzeBatch|BenchmarkPredictTopK|BenchmarkEntropy"},
 	{Pkg: "./internal/textproc", Bench: "BenchmarkSparseDot|BenchmarkTransform"},
 	{Pkg: "./internal/table", Bench: "BenchmarkCellLookup$|BenchmarkCellLookupString"},
 	{Pkg: "./internal/query", Bench: "BenchmarkPlanExecute|BenchmarkExecuteInterpreted"},

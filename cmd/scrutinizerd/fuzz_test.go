@@ -1,10 +1,11 @@
 package main
 
 // Handler fuzzers for the untrusted request bodies that create state: a
-// relation CSV upload, a verifier's training document and a run's
-// creation envelope. Whatever the body, the daemon must answer without a
-// panic or a 5xx, and a refused request (4xx) must leave the journal and
-// the registry exactly as they were.
+// relation CSV upload, a verifier's training document, a run's creation
+// envelope and a session's answers. Whatever the body, the daemon must
+// answer without a panic or a 5xx, and a refused request (4xx) must leave
+// the journal and the registry exactly as they were — except a 409 on
+// answers, which keeps the answers it accepted before the conflict.
 
 import (
 	"bytes"
@@ -49,6 +50,19 @@ var fuzzClient = &http.Client{Timeout: 5 * time.Second}
 func fuzzRequest(t *testing.T, s *server, st scrutinizer.Store, method, url string, body []byte) (int, []byte) {
 	t.Helper()
 	before := captureState(s, st)
+	status, out := fuzzSend(t, method, url, body)
+	if status >= 400 {
+		if after := captureState(s, st); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s %s: status %d changed state:\n  before %+v\n  after  %+v", method, url, status, before, after)
+		}
+	}
+	return status, out
+}
+
+// fuzzSend sends one request and fails on a 5xx, returning the status and
+// response body.
+func fuzzSend(t testing.TB, method, url string, body []byte) (int, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -64,11 +78,6 @@ func fuzzRequest(t *testing.T, s *server, st scrutinizer.Store, method, url stri
 	}
 	if resp.StatusCode >= 500 {
 		t.Fatalf("%s %s: status %d: %s", method, url, resp.StatusCode, out)
-	}
-	if resp.StatusCode >= 400 {
-		if after := captureState(s, st); !reflect.DeepEqual(before, after) {
-			t.Fatalf("%s %s: status %d changed state:\n  before %+v\n  after  %+v", method, url, resp.StatusCode, before, after)
-		}
 	}
 	return resp.StatusCode, out
 }
@@ -195,6 +204,113 @@ func FuzzCreateRun(f *testing.F) {
 		}
 		if got, _ := fuzzRequest(t, s, st, http.MethodDelete, ts.URL+"/v1/runs/"+created.ID, nil); got != http.StatusOK {
 			t.Fatalf("delete run %s: status %d", created.ID, got)
+		}
+	})
+}
+
+// FuzzRunAnswers fuzzes the body of POST /v1/runs/{id}/answers, single and
+// batch shapes, each input against a freshly parked session over the same
+// document (so its questions are always the same), deleted again after.
+// A 2xx body must be JSON; a 4xx other than 409 (a 400 or 422) must leave
+// the state as it was; a 2xx or a 409 must grow the journal by exactly the
+// answers it reports accepted, one record each.
+func FuzzRunAnswers(f *testing.F) {
+	w := recoveryTestWorld(f)
+	st := scrutinizer.NewMemoryStore()
+	s, ts := storedServer(f, w, st)
+	v, err := s.svc.CreateVerifier(defaultCorpusID, w.Document, scrutinizer.Options{Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	small := &scrutinizer.Document{Title: "fuzz", Sections: w.Document.Sections, Claims: w.Document.Claims[:3]}
+	var doc bytes.Buffer
+	if err := small.WriteJSON(&doc); err != nil {
+		f.Fatal(err)
+	}
+	create, err := json.Marshal(map[string]any{"document": json.RawMessage(doc.Bytes()), "mode": "session"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	runsURL := ts.URL + "/v1/verifiers/" + v.ID() + "/runs"
+	park := func(t testing.TB) sessionRunResponse {
+		t.Helper()
+		status, out := fuzzSend(t, http.MethodPost, runsURL, create)
+		if status != http.StatusCreated {
+			t.Fatalf("park session: status %d: %s", status, out)
+		}
+		var parked sessionRunResponse
+		if err := json.Unmarshal(out, &parked); err != nil {
+			t.Fatalf("parked session: %v: %s", err, out)
+		}
+		return parked
+	}
+	drop := func(t testing.TB, id string) {
+		t.Helper()
+		if status, out := fuzzSend(t, http.MethodDelete, ts.URL+"/v1/runs/"+id, nil); status != http.StatusOK {
+			t.Fatalf("delete run %s: status %d: %s", id, status, out)
+		}
+	}
+
+	// Seeds address the questions every freshly parked session asks.
+	probe := park(f)
+	drop(f, probe.ID)
+	qs := probe.Questions
+	if len(qs) < 2 {
+		f.Fatalf("parked session asks %d questions, want at least 2", len(qs))
+	}
+	answer := func(q scrutinizer.SessionQuestion, seconds float64) map[string]any {
+		value := ""
+		if len(q.Options) > 0 {
+			value = q.Options[0].Value
+		}
+		return map[string]any{"question_id": q.ID, "claim_id": q.ClaimID, "value": value, "seconds": seconds}
+	}
+	all := make([]map[string]any, 0, len(qs))
+	for _, q := range qs {
+		all = append(all, answer(q, 2))
+	}
+	mismatch := answer(qs[0], 2)
+	mismatch["question_id"] = qs[1].ID
+	for _, body := range []any{
+		answer(qs[0], 2),
+		map[string]any{"answers": all},
+		answer(qs[0], 1e308),
+		map[string]any{"answers": []map[string]any{answer(qs[0], 1), answer(qs[1], 1e308)}},
+		map[string]any{"answers": []map[string]any{answer(qs[0], 1e308), answer(qs[1], 1e308)}},
+		answer(qs[0], -1),
+		map[string]any{"claim_id": 9999, "value": "", "seconds": 1},
+		mismatch,
+		map[string]any{"answers": []map[string]any{answer(qs[0], 1), {"claim_id": 9999, "value": "", "seconds": 1}}},
+	} {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, seed := range []string{"", "{}", "null", "[]", `{"answers": []}`, `{"answers": [{}]}`, `{"claim_id": "x"}`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		parked := park(t)
+		defer drop(t, parked.ID)
+		before := captureState(s, st)
+		status, out := fuzzSend(t, http.MethodPost, ts.URL+"/v1/runs/"+parked.ID+"/answers", body)
+		if status >= 400 && status != http.StatusConflict {
+			if after := captureState(s, st); !reflect.DeepEqual(before, after) {
+				t.Fatalf("status %d changed state:\n  before %+v\n  after  %+v", status, before, after)
+			}
+			return
+		}
+		// A 2xx or a 409 reports how many answers it applied.
+		var resp struct {
+			Accepted uint64 `json:"accepted"`
+		}
+		if err := json.Unmarshal(out, &resp); err != nil {
+			t.Fatalf("status %d with a body that is not JSON: %v: %q", status, err, out)
+		}
+		if grew := st.Stats().Records - before.Records; grew != resp.Accepted {
+			t.Fatalf("status %d: journal grew by %d records for %d accepted answers", status, grew, resp.Accepted)
 		}
 	})
 }

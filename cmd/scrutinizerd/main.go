@@ -838,6 +838,14 @@ func (s *server) handleRunAnswers(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "no answers in body")
 		return
 	}
+	// Every answer is checked before any is applied, so a refused body
+	// leaves the session and the journal as they were.
+	for _, a := range req.Answers {
+		if a.Seconds < 0 || a.Seconds > maxAnswerSeconds {
+			httpError(w, http.StatusUnprocessableEntity, fmt.Sprintf("claim %d: seconds %g outside [0, %d]", a.ClaimID, a.Seconds, maxAnswerSeconds))
+			return
+		}
+	}
 	ctx, cancel := s.runCtx(r)
 	defer cancel()
 	resp := answersResponse{}

@@ -320,13 +320,15 @@ type runRequest struct {
 	SectionReadCost float64 `json:"section_read_cost"`
 }
 
-// Bounds on untrusted run-creation fields. The simulated crowd builds one
-// worker per "team" member, so an unbounded team could exhaust memory
-// before the run starts. Crowd seconds grow with "section_read_cost", so
-// an unbounded cost overflows them to +Inf, which no JSON report encodes.
+// Bounds on untrusted run fields. The simulated crowd builds one worker
+// per "team" member, so an unbounded team could exhaust memory before the
+// run starts. Crowd seconds grow with "section_read_cost" and with each
+// session answer's "seconds", so an unbounded value overflows them to
+// +Inf, which no JSON report encodes.
 const (
 	maxRunTeam         = 100
 	maxSectionReadCost = 3600 // seconds to skim one section
+	maxAnswerSeconds   = 3600 // seconds one answer may charge
 )
 
 // coverageJSON shapes FeatureCoverage for responses.

@@ -455,6 +455,23 @@ func TestV1RejectsBadInput(t *testing.T) {
 
 	info := trainV1Verifier(t, ts, defaultCorpusID, w.Document, 3)
 
+	// A parked session whose first question a bounded answer would take.
+	resp := do(t, "POST", ts.URL+"/v1/verifiers/"+info.ID+"/runs", mustJSON(t, map[string]any{
+		"document": json.RawMessage(docJSON(t, w.Document)), "mode": "session"}))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("session run: status %d", resp.StatusCode)
+	}
+	var parked sessionRunResponse
+	decodeJSON(t, resp, &parked)
+	if len(parked.Questions) == 0 {
+		t.Fatal("session run parked no questions")
+	}
+	q := parked.Questions[0]
+	answer := func(seconds float64) []byte {
+		return mustJSON(t, map[string]any{"question_id": q.ID, "claim_id": q.ClaimID, "value": "", "seconds": seconds})
+	}
+	answers := "/v1/runs/" + parked.ID + "/answers"
+
 	for _, tc := range []struct {
 		name, method, path string
 		body               []byte
@@ -478,6 +495,11 @@ func TestV1RejectsBadInput(t *testing.T) {
 			"document": json.RawMessage(docJSON(t, w.Document)), "section_read_cost": -1}), http.StatusUnprocessableEntity},
 		{"run huge section read cost", "POST", "/v1/verifiers/" + info.ID + "/runs", mustJSON(t, map[string]any{
 			"document": json.RawMessage(docJSON(t, w.Document)), "mode": "session", "section_read_cost": 1e308}), http.StatusUnprocessableEntity},
+		{"answer huge seconds", "POST", answers, answer(1e308), http.StatusUnprocessableEntity},
+		{"answer negative seconds", "POST", answers, answer(-1), http.StatusUnprocessableEntity},
+		{"answer batch with one huge seconds", "POST", answers, mustJSON(t, map[string]any{"answers": []map[string]any{
+			{"question_id": q.ID, "claim_id": q.ClaimID, "value": "", "seconds": 1},
+			{"claim_id": q.ClaimID, "value": "", "seconds": 1e308}}}), http.StatusUnprocessableEntity},
 		{"get unknown corpus", "GET", "/v1/corpora/nope", nil, http.StatusNotFound},
 		{"get unknown verifier", "GET", "/v1/verifiers/nope", nil, http.StatusNotFound},
 		{"get unknown run", "GET", "/v1/runs/nope", nil, http.StatusNotFound},
@@ -488,6 +510,17 @@ func TestV1RejectsBadInput(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
+	// The refused answers applied nothing: the first question is still
+	// pending and takes a bounded answer.
+	resp = do(t, "POST", ts.URL+answers, answer(maxAnswerSeconds))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("bounded answer after refused ones: status %d", resp.StatusCode)
+	}
+	var accepted answersResponse
+	decodeJSON(t, resp, &accepted)
+	if accepted.Accepted != 1 || accepted.Progress.Answered != 1 {
+		t.Fatalf("bounded answer: accepted %d, answered %d, want 1 and 1", accepted.Accepted, accepted.Progress.Answered)
+	}
 
 	// Unannotated documents cannot run in batch mode (422 with a hint)...
 	stripped := &scrutinizer.Document{Title: "t", Sections: w.Document.Sections}
@@ -496,7 +529,7 @@ func TestV1RejectsBadInput(t *testing.T) {
 		cc.Truth = nil
 		stripped.Claims = append(stripped.Claims, &cc)
 	}
-	resp := do(t, "POST", ts.URL+"/v1/verifiers/"+info.ID+"/runs", docJSON(t, stripped))
+	resp = do(t, "POST", ts.URL+"/v1/verifiers/"+info.ID+"/runs", docJSON(t, stripped))
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unannotated batch run: status %d", resp.StatusCode)
 	}

@@ -41,18 +41,19 @@ func randFeatures(rng *rand.Rand, n, dim int) []textproc.Sparse {
 // TestAnalyzeBatchMatchesSequential is the property test pinning the batch
 // scorer bit-identical to N sequential Analyze calls, across random models,
 // feature vectors, and top-k values (including k=0, k>numLabels, batches
-// larger than the batchRows block, untrained models, and empty input).
+// larger than the BatchRows block, untrained models, and empty input).
+// The label widths cover models narrower than one scoring block, exact
+// multiples of it and widths with a tail.
 func TestAnalyzeBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 12; trial++ {
-		nLabels := 1 + rng.Intn(9)
+	for trial, nLabels := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 20} {
 		dim := 4 + rng.Intn(24)
 		c := New(Config{Seed: int64(trial), Epochs: 3})
 		if err := c.Train(randExamples(rng, 10*nLabels, nLabels, dim)); err != nil {
 			t.Fatal(err)
 		}
-		// Sizes straddle the batchRows block boundary.
-		for _, n := range []int{0, 1, 7, batchRows, batchRows + 1, 3 * batchRows} {
+		// Sizes straddle the BatchRows block boundary.
+		for _, n := range []int{0, 1, 7, BatchRows, BatchRows + 1, 3 * BatchRows} {
 			fs := randFeatures(rng, n, dim)
 			for _, k := range []int{0, 1, 3, nLabels, nLabels + 5} {
 				gotP, gotE := c.AnalyzeBatch(fs, k)

@@ -137,3 +137,43 @@ func BenchmarkEntropy(b *testing.B) {
 		c.Entropy(f)
 	}
 }
+
+// documentBatch builds a trained model and a scoring batch at the shape of
+// a perfbench document run's widest model at its last barrier: 108 labels,
+// 1000 features, 115 nonzeros per claim, 200 claims left to score.
+func documentBatch(b *testing.B) (*Classifier, []textproc.Sparse) {
+	const nLabels, dim, nnz, nClaims = 108, 1000, 115, 200
+	rng := rand.New(rand.NewSource(4))
+	vec := func(label int) textproc.Sparse {
+		f := textproc.Vector{label: 1}
+		for len(f) < nnz {
+			f[nLabels+rng.Intn(dim-nLabels)] = rng.Float64()
+		}
+		return f.Sparse()
+	}
+	set := make([]Example, 400)
+	for i := range set {
+		label := i % nLabels
+		set[i] = Example{Features: vec(label), Label: fmt.Sprintf("label-%d", label)}
+	}
+	c := New(Config{Epochs: 2, Seed: 1})
+	if err := c.Train(set); err != nil {
+		b.Fatal(err)
+	}
+	fs := make([]textproc.Sparse, nClaims)
+	for i := range fs {
+		fs[i] = vec(rng.Intn(nLabels))
+	}
+	return c, fs
+}
+
+// BenchmarkAnalyzeBatch measures one model's batch scoring pass of a
+// scheduler round (Algorithm 1 line 18) at the document shape, top 10.
+func BenchmarkAnalyzeBatch(b *testing.B) {
+	c, fs := documentBatch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AnalyzeBatch(fs, 10)
+	}
+}

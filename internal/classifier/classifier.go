@@ -15,9 +15,9 @@
 //
 // Weights live in one dense flat matrix laid out feature-major:
 // w[fi*numLabels+class]. Feature vectors are textproc.Sparse (sorted
-// slice-backed pairs), so a scoring pass walks the vector's nonzeros and,
-// per feature, a contiguous run of per-class weights — no hashing, no
-// branches, vectorisable. The AdaGrad accumulators share the layout, and
+// slice-backed pairs), so a scoring pass walks the vector's nonzeros and
+// reads, per feature, a contiguous run of per-class weights — no hashing,
+// no branches. The AdaGrad accumulators share the layout, and
 // L2 is applied lazily: only the features present in an example are
 // regularised on its update, exactly as the sparse-map implementation did.
 // Scoring scratch buffers come from a sync.Pool so concurrent inference
@@ -72,6 +72,18 @@
 // pass per row, and all top-k prediction lists carved from a single arena
 // allocation — producing results bit-identical to N sequential Analyze
 // calls (pinned by a property test) at a fraction of the allocations.
+// Blocks of BatchRows rows are independent, so a caller may score one
+// batch as several calls, one per block, and run them concurrently.
+//
+// Every linear score — batch scoring, Analyze and training's forward pass
+// alike — comes from one register-blocked kernel (scoreInto): it keeps
+// eight classes' running sums in registers across a claim's nonzeros
+// instead of updating all classes in memory once per nonzero. A class's
+// sum is still its bias plus the terms w·x in ascending feature order, one
+// `s += w*x` per term, so every score is bit-identical to the
+// feature-major loop (pinned against it for every label width 1–20): only
+// which classes share a pass over the claim changes, never the order or
+// the form of a class's own additions.
 //
 // This substitutes the scikit-learn models of the authors' Python
 // implementation; see the README's "Package map".
@@ -437,21 +449,70 @@ func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32
 
 // scoreInto fills scores (len == numLabels) with the linear scores of f:
 // bias plus the feature-major weight columns of f's nonzeros. Feature
-// indexes at or above the trained width carry zero weight and are skipped.
+// indexes at or above the trained width carry zero weight; since indexes
+// are sorted they form a suffix, dropped once up front.
+//
+// The kernel is register-blocked: it walks f's nonzeros once per block of
+// eight classes, holding the block's eight sums in locals (scoreLanes8).
+// Each class's sum still starts at its bias and adds the terms w·x of f's
+// nonzeros in ascending index order, one `s += w*x` per term, so it rounds
+// exactly as the feature-major loop `scores[j] += w*x` it replaces (kept
+// as the reference in the tests) — the same expression shape also fuses or
+// stays unfused exactly as that loop does on every GOARCH. Blocking changes
+// only which classes share a pass over f, never a class's own additions.
+// A width that is not a multiple of eight ends with one overlapping block
+// aligned to the last class: the classes it recomputes come out
+// bit-identical, so rewriting them is harmless, and the tail costs one
+// pass instead of a per-class loop. Models narrower than one block sum
+// class by class.
 func (c *Classifier) scoreInto(f textproc.Sparse, scores []float64) {
-	copy(scores, c.bias)
 	nL := len(c.labels)
 	ix, vals := f.Raw()
-	for k, fi := range ix {
-		if int(fi) >= c.dim {
-			break // indexes are sorted: everything after is out of range too
-		}
-		x := vals[k]
-		row := c.w[int(fi)*nL : int(fi)*nL+nL]
-		for j, wv := range row {
-			scores[j] += wv * x
-		}
+	n := len(ix)
+	for n > 0 && int(ix[n-1]) >= c.dim {
+		n--
 	}
+	ix, vals = ix[:n], vals[:n]
+	if nL < 8 {
+		for j := 0; j < nL; j++ {
+			s := c.bias[j]
+			for k, fi := range ix {
+				s += c.w[int(fi)*nL+j] * vals[k]
+			}
+			scores[j] = s
+		}
+		return
+	}
+	for j := 0; j+8 <= nL; j += 8 {
+		scoreLanes8(c.w, nL, j, c.bias, ix, vals, scores)
+	}
+	if nL%8 != 0 {
+		scoreLanes8(c.w, nL, nL-8, c.bias, ix, vals, scores)
+	}
+}
+
+// scoreLanes8 writes the linear scores of classes [j, j+8) into out: the
+// eight sums stay in registers across the nonzeros (ix, vals), all of
+// which must lie below the weight matrix's width. stride is the number of
+// classes per feature row of w.
+func scoreLanes8(w []float64, stride, j int, bias []float64, ix []int32, vals []float64, out []float64) {
+	b := (*[8]float64)(bias[j:])
+	s0, s1, s2, s3, s4, s5, s6, s7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+	vals = vals[:len(ix)]
+	for k, fi := range ix {
+		x := vals[k]
+		r := (*[8]float64)(w[int(fi)*stride+j:])
+		s0 += r[0] * x
+		s1 += r[1] * x
+		s2 += r[2] * x
+		s3 += r[3] * x
+		s4 += r[4] * x
+		s5 += r[5] * x
+		s6 += r[6] * x
+		s7 += r[7] * x
+	}
+	o := (*[8]float64)(out[j:])
+	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }
 
 // softmaxInPlace turns linear scores into probabilities and returns the
@@ -525,10 +586,11 @@ func (c *Classifier) Analyze(f textproc.Sparse, k int) ([]Prediction, float64) {
 	return preds, h
 }
 
-// batchRows bounds the row count of AnalyzeBatch's scores block so the
+// BatchRows bounds the row count of AnalyzeBatch's scores block so the
 // working set stays cache-resident regardless of how many claims a
-// scheduler round scores at once.
-const batchRows = 64
+// scheduler round scores at once. Callers that split a round's scoring
+// into tasks split it at this size, so every task is one block.
+const BatchRows = 64
 
 // batchScratch holds AnalyzeBatch's reusable buffers: the row-major scores
 // block and the top-k selection index scratch. Pooled package-wide (reuse
@@ -555,7 +617,7 @@ func putBatchScratch(bs *batchScratch) { batchPool.Put(bs) }
 
 // AnalyzeBatch scores all feature vectors for one property kind in a
 // single pass: linear scores are written block-by-block into a pooled
-// row-major matrix (batchRows × numLabels), softmax and entropy are fused
+// row-major matrix (BatchRows × numLabels), softmax and entropy are fused
 // into the normalisation sweep per row, and every row's top-k predictions
 // are appended into one shared arena so N claims cost one predictions
 // allocation instead of N. Results are bit-identical to calling Analyze
@@ -582,8 +644,8 @@ func (c *Classifier) AnalyzeBatch(fs []textproc.Sparse, k int) ([][]Prediction, 
 		kEff = nL
 	}
 	rows := n
-	if rows > batchRows {
-		rows = batchRows
+	if rows > BatchRows {
+		rows = BatchRows
 	}
 	bs := getBatchScratch(rows * nL)
 	var arena []Prediction
@@ -593,10 +655,10 @@ func (c *Classifier) AnalyzeBatch(fs []textproc.Sparse, k int) ([][]Prediction, 
 		arena = make([]Prediction, 0, n*kEff)
 	}
 	sel := bs.sel
-	for base := 0; base < n; base += batchRows {
+	for base := 0; base < n; base += BatchRows {
 		rows = n - base
-		if rows > batchRows {
-			rows = batchRows
+		if rows > BatchRows {
+			rows = BatchRows
 		}
 		buf := bs.scores[:rows*nL]
 		for i := 0; i < rows; i++ {

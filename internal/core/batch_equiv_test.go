@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/repro/scrutinizer/internal/claims"
+	"github.com/repro/scrutinizer/internal/classifier"
 	"github.com/repro/scrutinizer/internal/crowd"
 	"github.com/repro/scrutinizer/internal/embed"
 	"github.com/repro/scrutinizer/internal/feature"
@@ -20,7 +21,13 @@ import (
 // every equivalence test below compares engines over identical inputs.
 func batchFixture(t testing.TB) (*worldgen.World, *feature.Pipeline) {
 	t.Helper()
-	w, err := worldgen.Generate(tinyWorld())
+	return batchFixtureOf(t, tinyWorld())
+}
+
+// batchFixtureOf is batchFixture over the world cfg generates.
+func batchFixtureOf(t testing.TB, cfg worldgen.Config) (*worldgen.World, *feature.Pipeline) {
+	t.Helper()
+	w, err := worldgen.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +145,27 @@ func TestAssessBatchMatchesSequential(t *testing.T) {
 // TestVerifyBatchScoredMatchesSequential is the DocumentRun acceptance
 // criterion: a full Algorithm 1 run on the batch-scored scheduler produces
 // verdicts, crowd seconds, screens and queries bit-identical to the legacy
-// per-claim scoring path. Run under -race this also exercises the batch
-// fill's concurrency.
+// per-claim scoring path. The world's 210 claims make the first rounds
+// score four classifier.BatchRows blocks per model, and the run goes at
+// parallelism 1, 2 and 3 — at 3 the blocks and the fits split unevenly
+// across workers. Whatever the schedule, ModelFit must still fire in kind
+// order. Run under -race this also exercises the batch fill's concurrency.
 func TestVerifyBatchScoredMatchesSequential(t *testing.T) {
-	w, pipe := batchFixture(t)
-	vc := VerifyConfig{BatchSize: 15, SectionReadCost: 30, Parallelism: 4}
+	cfg := tinyWorld()
+	cfg.NumClaims = 210
+	cfg.NumSections = 10
+	w, pipe := batchFixtureOf(t, cfg)
+	if n := len(w.Document.Claims); n <= 3*classifier.BatchRows {
+		t.Fatalf("world has %d claims, want more than %d", n, 3*classifier.BatchRows)
+	}
 
-	run := func(e *Engine) *Result {
+	run := func(e *Engine, parallelism int) *Result {
 		t.Helper()
 		team, err := crowd.NewTeam("W", 3, 0.97, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
+		vc := VerifyConfig{BatchSize: 15, SectionReadCost: 30, Parallelism: parallelism}
 		res, err := e.Verify(context.Background(), w.Document, team, vc)
 		if err != nil {
 			t.Fatal(err)
@@ -159,9 +175,32 @@ func TestVerifyBatchScoredMatchesSequential(t *testing.T) {
 
 	seq := engineOver(t, w, pipe, nil)
 	seq.seqAssess = true
-	want := run(seq)
-	got := run(engineOver(t, w, pipe, nil))
-	mustEqualRuns(t, "batch-scored vs per-claim", want, got)
+	want := run(seq, 1)
+
+	var mu sync.Mutex
+	var fitted []PropertyKind
+	SetObserver(&Observer{ModelFit: func(k PropertyKind, _ bool) {
+		mu.Lock()
+		fitted = append(fitted, k)
+		mu.Unlock()
+	}})
+	t.Cleanup(func() { SetObserver(nil) })
+	kinds := PropertyKinds()
+	for _, par := range []int{1, 2, 3} {
+		fitted = nil
+		got := run(engineOver(t, w, pipe, nil), par)
+		mustEqualRuns(t, "batch-scored at parallelism "+strconv.Itoa(par)+" vs per-claim", want, got)
+		mu.Lock()
+		if len(fitted) == 0 || len(fitted)%len(kinds) != 0 {
+			t.Fatalf("parallelism %d: %d ModelFit events, want whole retrains of %d models", par, len(fitted), len(kinds))
+		}
+		for i, k := range fitted {
+			if k != kinds[i%len(kinds)] {
+				t.Fatalf("parallelism %d: ModelFit event %d reported %s, want %s (kind order)", par, i, k, kinds[i%len(kinds)])
+			}
+		}
+		mu.Unlock()
+	}
 }
 
 // TestVerifyFormulaParallelismEquivalence: parallel Algorithm 2 enumeration

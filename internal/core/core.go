@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -601,12 +602,17 @@ func (e *Engine) newFit(annotated []*claims.Claim, seen, parallelism int) (*mode
 // (own weights, own deterministic shuffle seed), so with parallelism > 1
 // they train concurrently — on a multi-core machine this takes the
 // per-batch retraining of Algorithm 1 from the sum of the four training
-// times down to the slowest single model, which is the serial bottleneck
-// of document verification at paper scale. Verify threads its
-// VerifyConfig.Parallelism through here so a Parallelism=1 run is a truly
-// sequential baseline. Each model warm-starts on its own superset check,
-// so one retrain can mix warm and cold fits; every fitted model reports
-// which through the observer's ModelFit hook. Models still shared with a
+// times toward the slowest single model, which is the serial bottleneck
+// of document verification at paper scale. The fits are dispatched
+// largest model first (largestFirst): a fit's cost grows with its label
+// count, so the widest model starts at once and the narrow ones fill the
+// other workers around it instead of leaving one worker to finish it
+// alone. Only the schedule depends on the order; each model's fit is the
+// same. Verify threads its VerifyConfig.Parallelism through here so a
+// Parallelism=1 run is a truly sequential baseline. Each model warm-starts
+// on its own superset check, so one retrain can mix warm and cold fits;
+// every fitted model reports which through the observer's ModelFit hook,
+// in kind order whatever the schedule. Models still shared with a
 // snapshot are cloned first.
 func (e *Engine) fit(f *modelFit) error {
 	if len(f.sets) > 0 && e.sharedModels {
@@ -616,14 +622,16 @@ func (e *Engine) fit(f *modelFit) error {
 		e.sharedModels = false
 	}
 	kinds := PropertyKinds()
+	order := e.largestFirst(kinds)
 	errs := make([]error, len(kinds))
-	runPool(len(kinds), f.parallelism, func(i int) {
-		k := kinds[i]
+	runPool(len(order), f.parallelism, func(i int) {
+		ki := order[i]
+		k := kinds[ki]
 		if len(f.sets[k]) == 0 {
 			return // stay untrained for this property (cold start)
 		}
 		if err := e.models[k].TrainSplit(f.sets[k], f.seen[k]); err != nil {
-			errs[i] = fmt.Errorf("core: training %s classifier: %w", k, err)
+			errs[ki] = fmt.Errorf("core: training %s classifier: %w", k, err)
 		}
 	})
 	for _, err := range errs {
@@ -640,6 +648,21 @@ func (e *Engine) fit(f *modelFit) error {
 		obsRetrain()
 	}
 	return nil
+}
+
+// largestFirst returns the positions of kinds ordered by their models'
+// current label counts, widest first, ties in kind order. The fit and
+// scoring fan-outs dispatch their tasks in this order: both cost about
+// label count times claims, so the longest tasks start first.
+func (e *Engine) largestFirst(kinds []PropertyKind) []int {
+	order := make([]int, len(kinds))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return e.models[kinds[b]].NumLabels() - e.models[kinds[a]].NumLabels()
+	})
+	return order
 }
 
 // deferFit parks a validated fit until the models are next read.
@@ -726,9 +749,15 @@ func (e *Engine) assess(c *claims.Claim) *assessment {
 // round instead of per claim). Re-scoring is incremental across rounds: a
 // retrain bumps the generation and every claim goes stale; rounds without
 // a retrain reuse every cached assessment and score only never-seen
-// claims. The assembled assessments are bit-identical to assess's (same
-// accumulation order for the utility sum, same option values, same
-// BuildPlan inputs), pinned by the batch-vs-sequential equivalence tests.
+// claims. The scoring fans out as one task per (model, block of
+// classifier.BatchRows claims), the widest model's blocks first
+// (largestFirst), rather than one task per model: four models of unequal
+// width would leave a worker idle while the widest one scores alone, and
+// rows score independently, so each block writes its rows of the model's
+// per-claim results unchanged. The assembled assessments are
+// bit-identical to assess's (same accumulation order for the utility sum,
+// same option values, same BuildPlan inputs), pinned by the
+// batch-vs-sequential equivalence tests.
 func (e *Engine) assessMany(cs []*claims.Claim, parallelism int) {
 	e.settle()
 	e.assessMu.RLock()
@@ -751,8 +780,19 @@ func (e *Engine) assessMany(cs []*claims.Claim, parallelism int) {
 	kinds := PropertyKinds()
 	preds := make([][][]classifier.Prediction, len(kinds))
 	ents := make([][]float64, len(kinds))
-	runPool(len(kinds), parallelism, func(ki int) {
-		preds[ki], ents[ki] = e.models[kinds[ki]].AnalyzeBatch(feats, e.cfg.TopK)
+	for ki := range kinds {
+		preds[ki] = make([][]classifier.Prediction, n)
+		ents[ki] = make([]float64, n)
+	}
+	order := e.largestFirst(kinds)
+	blocks := (n + classifier.BatchRows - 1) / classifier.BatchRows
+	runPool(len(order)*blocks, parallelism, func(t int) {
+		ki := order[t/blocks]
+		lo := t % blocks * classifier.BatchRows
+		hi := min(lo+classifier.BatchRows, n)
+		p, h := e.models[kinds[ki]].AnalyzeBatch(feats[lo:hi], e.cfg.TopK)
+		copy(preds[ki][lo:hi], p)
+		copy(ents[ki][lo:hi], h)
 	})
 
 	totalOpts := 0

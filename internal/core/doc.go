@@ -16,14 +16,17 @@
 // Stale claims are not re-scored one at a time. Before the per-claim reads,
 // assessMany collects every claim whose cached assessment is missing or
 // from an older generation, featurises them across the verify worker pool,
-// and scores all of them per property kind through a single
-// classifier.AnalyzeBatch call — one dense matrix pass per kind per round
-// instead of four scoring passes per claim. Candidate options and property
-// lists for the whole round are carved from shared arenas, and question
-// plans are built across the same pool. The filled cache entries are
-// indistinguishable from the legacy per-claim path (pinned by equivalence
-// tests; the seqAssess hook preserves that path as the reference
-// implementation).
+// and scores all of them per property kind through classifier.AnalyzeBatch
+// — one dense matrix pass per kind per round instead of four scoring
+// passes per claim. The pass runs as one pool task per (kind, block of
+// classifier.BatchRows claims), the widest model's blocks first, so the
+// workers stay busy however unequal the four models are; the batch
+// barrier's four fits are dispatched widest first for the same reason.
+// Candidate options and property lists for the whole round are carved
+// from shared arenas, and question plans are built across the same pool.
+// The filled cache entries are indistinguishable from the legacy
+// per-claim path (pinned by equivalence tests; the seqAssess hook
+// preserves that path as the reference implementation).
 //
 // # Formula cache
 //
